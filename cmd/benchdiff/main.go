@@ -136,13 +136,13 @@ func diff(oldRec, newRec *experiments.BenchRecord, threshold, allocThreshold flo
 		checkAt(label, "", float64(oldV), float64(newV), threshold)
 	}
 	// Batch counts follow the both-sides-measured rule: zero means the record
-	// ran record-at-a-time (or predates the columnar path). Batch counts for a
+	// predates batch accounting (or ran no fused chain). Batch counts for a
 	// fixed configuration are deterministic in partition sizes, but retries and
 	// variant mixes shift them a little, so they get the wall-time threshold
 	// rather than an exact comparison.
 	checkBatches := func(label string, oldV, newV int64) {
 		if oldV == 0 || newV == 0 {
-			return // at least one record ran without columnar execution
+			return // at least one record carries no batch accounting
 		}
 		checkAt(label, "", float64(oldV), float64(newV), threshold)
 	}

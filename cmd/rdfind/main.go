@@ -6,7 +6,7 @@
 //
 //	rdfind [-support N] [-workers N] [-ingest-workers N] [-variant rdfind|de|nf|mf]
 //	       [-input GLOBS] [-input-format auto|nt|turtle] [-partition hash|subject]
-//	       [-pred-only-conditions] [-no-columnar] [-no-optimizer] [-profile-dir DIR]
+//	       [-pred-only-conditions] [-no-optimizer] [-profile-dir DIR]
 //	       [-explain] [-lenient] [-timeout D] [-stats] [-json] [file.nt ...]
 //	rdfind -query 'SELECT ...' [-query-reps N] [flags] file.nt
 //	rdfind -cluster N [-cluster-network tcp|unix] [-chaos SPEC] [flags] file.nt
@@ -135,7 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "print run statistics and the operator trace to stderr")
 	lenient := fs.Bool("lenient", false, "skip malformed N-Triples lines (reported to stderr) instead of aborting")
 	timeout := fs.Duration("timeout", 0, "abort discovery after this duration (0 = no limit), exit code 4")
-	noColumnar := fs.Bool("no-columnar", false, "disable columnar batch execution of fused chains (record-at-a-time; identical results)")
 	noOptimizer := fs.Bool("no-optimizer", false, "disable the cost-based plan optimizer (no rewrites or policies; identical results)")
 	profileDir := fs.String("profile-dir", "", "directory for the optimizer's span-statistics profile: read before the run, updated after, tuning later runs")
 	explain := fs.Bool("explain", false, "print the optimized plan (stages, cost estimates, fired rules) to stdout instead of the result")
@@ -275,7 +274,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MemoryBudget:               budget,
 		SpillDir:                   *spillDir,
 		Partitioner:                part,
-		DisableColumnar:            *noColumnar,
 		DisableOptimizer:           *noOptimizer,
 		ProfileDir:                 *profileDir,
 	}
@@ -310,7 +308,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			PredOnly:      *predOnly,
 			IngestWorkers: *ingestWorkers,
 			Lenient:       *lenient,
-			NoColumnar:    *noColumnar,
 		}
 		cl, code := startCluster(*clusterN, *clusterNet, *chaos, spec, stderr)
 		if code != exitOK {
@@ -451,11 +448,6 @@ type jobSpec struct {
 	PredOnly      bool   `json:"predOnly,omitempty"`
 	IngestWorkers int    `json:"ingestWorkers"`
 	Lenient       bool   `json:"lenient,omitempty"`
-	// NoColumnar replicates the coordinator's -no-columnar setting so every
-	// rank executes fused chains in the same mode. (The candidate-set wire
-	// format is mode-independent, but replaying the same path everywhere keeps
-	// the per-rank traces comparable.)
-	NoColumnar bool `json:"noColumnar,omitempty"`
 }
 
 // startCluster opens the coordinator listener and arranges for N copies of
@@ -633,7 +625,6 @@ func runWorker(args []string, stdout, stderr io.Writer) int {
 		PredicatesOnlyInConditions: spec.PredOnly,
 		WorkerConn:                 w,
 		Partitioner:                part,
-		DisableColumnar:            spec.NoColumnar,
 	})
 	if err != nil {
 		// An injected kill simulates sudden process death: exit silently so

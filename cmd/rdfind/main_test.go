@@ -61,10 +61,8 @@ var droppedKeys = map[string]bool{
 	"alloc_bytes":       true,
 	"mallocs_delta":     true, // per-span allocation deltas
 	"alloc_bytes_delta": true,
-	// Columnar batch accounting (per-span, run-level, and the registry
-	// counters), added after the goldens were recorded. Batch counts depend on
-	// the execution mode (zero with DATAFLOW_COLUMNAR=off), so dropping — not
-	// zeroing — keeps one golden valid across both CI legs.
+	// Batch accounting of fused chains (per-span, run-level, and the
+	// registry counters), likewise added after the goldens were recorded.
 	"batches":              true,
 	"batch_fill":           true,
 	"dataflow.batches":     true,
@@ -147,12 +145,10 @@ func TestGoldenResultJSON(t *testing.T) {
 }
 
 func TestGoldenSnapshotJSON(t *testing.T) {
-	// The snapshot's spans carry fused-chain composite names and the plan
-	// optimizer's report (its rewrites move work between spans), so this
-	// golden is recorded in (default) fused+optimized mode; pin it against
-	// the CI legs that set DATAFLOW_FUSION=off or DATAFLOW_OPTIMIZER=off
+	// The snapshot's spans carry the plan optimizer's report (its rewrites
+	// move work between spans), so this golden is recorded with the optimizer
+	// on; pin it against the CI leg that sets DATAFLOW_OPTIMIZER=off
 	// process-wide.
-	t.Setenv("DATAFLOW_FUSION", "on")
 	t.Setenv("DATAFLOW_OPTIMIZER", "on")
 	code, out, errOut := runCLI(t, "-support", "2", "-workers", "1", "-json", "testdata/museums.nt")
 	if code != exitOK {
@@ -161,74 +157,11 @@ func TestGoldenSnapshotJSON(t *testing.T) {
 	goldenCompare(t, "museums_snapshot_json", normalizeJSON(t, []byte(out)))
 }
 
-// TestGoldenFusionOff pins fusion's central promise at the CLI boundary: with
-// lazy fusion disabled the discovered results — text and JSON — are
-// byte-identical to the fused goldens. (Only the trace snapshot differs,
-// since eager execution records one span per narrow operator.)
-func TestGoldenFusionOff(t *testing.T) {
-	t.Setenv("DATAFLOW_FUSION", "off")
-	code, out, errOut := runCLI(t, "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_text", []byte(out))
-	code, out, errOut = runCLI(t, "-support", "2", "-workers", "1", "-format", "json", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_result_json", []byte(out))
-}
-
-// TestGoldenColumnarOff pins the columnar path's central promise at the CLI
-// boundary: with column-batch execution disabled — via the environment or the
-// -no-columnar flag — the discovered results are byte-identical to the
-// (default columnar) goldens. Unlike fusion, even the trace snapshot golden
-// holds in both modes, because the batch accounting fields are dropped by
-// normalizeJSON and everything else (span names, record counts) is identical.
-func TestGoldenColumnarOff(t *testing.T) {
-	t.Setenv("DATAFLOW_FUSION", "on")
-	t.Setenv("DATAFLOW_COLUMNAR", "off")
-	t.Setenv("DATAFLOW_OPTIMIZER", "on") // the snapshot golden is recorded with the optimizer on
-	code, out, errOut := runCLI(t, "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_text", []byte(out))
-	code, out, errOut = runCLI(t, "-support", "2", "-workers", "1", "-format", "json", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_result_json", []byte(out))
-	code, out, errOut = runCLI(t, "-support", "2", "-workers", "1", "-json", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_snapshot_json", normalizeJSON(t, []byte(out)))
-}
-
-// TestNoColumnarFlag checks the -no-columnar escape hatch end to end: results
-// match the goldens and the snapshot carries no batch accounting.
-func TestNoColumnarFlag(t *testing.T) {
-	code, out, errOut := runCLI(t, "-no-columnar", "-support", "2", "-workers", "1", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	goldenCompare(t, "museums_text", []byte(out))
-	code, out, _ = runCLI(t, "-no-columnar", "-support", "2", "-workers", "1", "-json", "testdata/museums.nt")
-	if code != exitOK {
-		t.Fatalf("exit %d", code)
-	}
-	if strings.Contains(out, `"batches"`) {
-		t.Errorf("-no-columnar snapshot still carries batch accounting:\n%s", out)
-	}
-}
-
 // TestGoldenExplain pins the -explain rendering: the optimized plan tree with
 // the fired rules and per-stage cost estimates. Cost numbers are volatile
 // (the model's coefficients may be tuned), so the golden normalizes every
 // est_cost value; stage names, record counts, and fired rules are exact.
 func TestGoldenExplain(t *testing.T) {
-	t.Setenv("DATAFLOW_FUSION", "on")
 	t.Setenv("DATAFLOW_OPTIMIZER", "on")
 	code, out, errOut := runCLI(t, "-explain", "-support", "2", "-workers", "1", "testdata/museums.nt")
 	if code != exitOK {

@@ -106,19 +106,6 @@ type Config struct {
 	// robustness testing; nil injects nothing. An empty plan traces stage
 	// executions without injecting.
 	FaultPlan *dataflow.FaultPlan
-	// DisableFusion switches the dataflow engine back to eager
-	// one-stage-per-operator execution (dataflow.WithFusion(false)) instead
-	// of the default lazy narrow-operator fusion. Results are byte-identical
-	// either way — the differential suites pin that — so this exists for
-	// those suites and for debugging per-operator spans.
-	DisableFusion bool
-	// DisableColumnar switches the dataflow engine's fused narrow chains back
-	// to record-at-a-time execution (dataflow.WithColumnar(false)) instead of
-	// the default column-batch path, and with it the bitmap-backed candidate
-	// sets that ride on it (extract.Config.BitmapSets). Results are
-	// byte-identical either way — the differential suites pin that — so this
-	// exists for those suites and for debugging.
-	DisableColumnar bool
 	// Cluster makes this run the coordinator of a multi-process job: stages
 	// execute on the cluster's worker processes and this driver consumes the
 	// collective results. Overrides Workers with the cluster's worker count
@@ -227,14 +214,13 @@ type RunStats struct {
 	SpilledRuns  int64
 	MergePasses  int64
 	// MaterializedBytes estimates the bytes buffered into partition slices by
-	// narrow-operator stages (fused or eager), summed over all stages. Fusion
-	// shrinks it by eliding the intermediate partitions between chained
-	// narrow operators.
+	// fused narrow-operator chains, summed over all stages. Only a chain's
+	// final output is materialized, never the partitions between its
+	// operators.
 	MaterializedBytes int64
-	// Batches counts the column batches the engine's columnar execution
-	// delivered to fused-chain sinks across all stages; BatchFill is the
-	// fraction of their lanes still selected when they arrived (1.0 = no
-	// Filter cleared anything). Both zero with Config.DisableColumnar.
+	// Batches counts the column batches fused chains delivered to their
+	// sinks across all stages; BatchFill is the fraction of their lanes still
+	// selected when they arrived (1.0 = no Filter cleared anything).
 	Batches   int64
 	BatchFill float64
 	// StageRetries is the total number of worker re-executions after
@@ -358,12 +344,6 @@ func newHarness(ctx context.Context, cfg Config) *harness {
 		dataflow.WithMemoryBudget(cfg.MemoryBudget),
 		dataflow.WithSpillDir(cfg.SpillDir),
 	}
-	if cfg.DisableFusion {
-		dfOpts = append(dfOpts, dataflow.WithFusion(false))
-	}
-	if cfg.DisableColumnar {
-		dfOpts = append(dfOpts, dataflow.WithColumnar(false))
-	}
 	if cfg.DisableOptimizer {
 		dfOpts = append(dfOpts, dataflow.WithOptimizer(false))
 	}
@@ -463,7 +443,6 @@ func (h *harness) run(triples *dataflow.Dataset[rdf.Triple], dict *rdf.Dictionar
 		LoadLimit:          cfg.LoadLimit,
 		DegradeOnLoadLimit: true,
 		SpillOnLoadLimit:   cfg.MemoryBudget > 0,
-		BitmapSets:         dfctx.Columnar(),
 	}
 	var pertinent []cind.CIND
 	if cfg.Variant == MinimalFirst {

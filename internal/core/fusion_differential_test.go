@@ -6,83 +6,69 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cind"
 	"repro/internal/dataflow"
 	"repro/internal/datagen"
+	"repro/internal/metrics"
+	"repro/internal/rdf"
 )
 
-// TestPropertyDifferentialFusionModes runs the property suite's seeded-random
-// datasets through every pipeline variant with fusion on and off and requires
-// exactly equal results: fusion is a pure execution-plan change, so the
-// discovered CINDs and ARs — including their order — must not move.
-func TestPropertyDifferentialFusionModes(t *testing.T) {
-	// The comparison is fused-vs-eager, so the baseline must actually fuse
-	// regardless of the process-wide default (CI runs a DATAFLOW_FUSION=off leg).
-	t.Setenv("DATAFLOW_FUSION", "on")
-	seeds := 200
-	if testing.Short() || raceDetectorEnabled {
-		seeds = 30
-	}
-	variants := []Variant{Standard, DirectExtraction, NoFrequentConditions, MinimalFirst}
-	for seed := 0; seed < seeds; seed++ {
-		ds := datagen.Random(int64(seed))
-		h := 1 + seed%4
-		for _, w := range []int{1, 2, 4} {
-			for _, v := range variants {
-				cfg := Config{Support: h, Workers: w, Variant: v}
-				fused, fusedStats := Discover(ds, cfg)
-				cfg.DisableFusion = true
-				eager, eagerStats := Discover(ds, cfg)
-				label := fmt.Sprintf("seed=%d h=%d %v w=%d", seed, h, v, w)
-				if !reflect.DeepEqual(fused, eager) {
-					t.Fatalf("%s: fused and unfused results differ\nfused:   %+v\nunfused: %+v", label, fused, eager)
-				}
-				// Result-derived counters agree too; only the execution plan
-				// (stage count, work accounting) may differ.
-				if fusedStats.Pertinent != eagerStats.Pertinent || fusedStats.ARs != eagerStats.ARs ||
-					fusedStats.BroadCINDs != eagerStats.BroadCINDs || fusedStats.CaptureGroups != eagerStats.CaptureGroups {
-					t.Fatalf("%s: result-derived stats diverge: fused %+v, unfused %+v", label, fusedStats, eagerStats)
-				}
-			}
+// spanSummary reduces a trace to the fields a retried run must reproduce:
+// names, record counts, and per-fused-op attribution.
+func spanSummary(spans []metrics.Span) []string {
+	var out []string
+	for _, sp := range spans {
+		line := fmt.Sprintf("%s in=%d out=%d", sp.Name, sp.RecordsIn, sp.RecordsOut)
+		for _, op := range sp.FusedOps {
+			line += fmt.Sprintf(" %s=%d", op.Name, op.RecordsIn)
 		}
+		out = append(out, line)
 	}
+	return out
 }
 
-// TestDifferentialFusionFaultReplay injects transient faults at the fused
-// pipeline's composite-chain sites (stage names containing '+') and checks
-// that the retried fused run still matches a fault-free unfused run — the
-// retry contract replays a fused chain from its retained root partitions, so
-// faults must stay invisible in the result.
+// compositeFaults traces a fault-free run of ds under base and returns its
+// result, its stats, and one transient fault at the first occurrence of every
+// composite fused-chain site (stage names containing '+').
+func compositeFaults(t *testing.T, ds *rdf.Dataset, base Config) (*cind.Result, *RunStats, []dataflow.Fault) {
+	t.Helper()
+	tracer := dataflow.NewFaultPlan()
+	cfg := base
+	cfg.FaultPlan = tracer
+	res, stats := Discover(ds, cfg)
+
+	var faults []dataflow.Fault
+	seen := map[string]bool{}
+	for _, site := range tracer.Trace() {
+		if site.Occurrence != 1 || !strings.Contains(site.Stage, "+") || seen[site.Stage] {
+			continue
+		}
+		seen[site.Stage] = true
+		faults = append(faults, dataflow.Fault{
+			Stage:  site.Stage,
+			Worker: site.Worker,
+			Kind:   dataflow.FaultTransient,
+		})
+	}
+	if len(faults) == 0 {
+		t.Fatalf("pipeline exposed no composite-chain fault sites")
+	}
+	return res, stats, faults
+}
+
+// TestDifferentialFusionFaultReplay injects transient faults at the
+// pipeline's composite fused-chain sites (stage names containing '+') and
+// checks the two retry promises: the faulted run's result equals a
+// fault-free run's, and its span summary does too — a retried worker replays
+// its chain from the retained root partitions, resetting per-op tallies, so
+// faults stay invisible in both the result and the trace.
 func TestDifferentialFusionFaultReplay(t *testing.T) {
-	// Composite-chain fault sites only exist when fusion is on; pin the mode
-	// against the CI leg that sets DATAFLOW_FUSION=off.
-	t.Setenv("DATAFLOW_FUSION", "on")
 	for seed := 0; seed < 8; seed++ {
 		ds := datagen.Random(int64(seed))
 		h := 1 + seed%3
 		base := Config{Support: h, Workers: 2}
 
-		// Trace a fault-free fused run to find its composite-chain sites.
-		tracer := dataflow.NewFaultPlan()
-		cfgTrace := base
-		cfgTrace.FaultPlan = tracer
-		want, _ := Discover(ds, cfgTrace)
-
-		var faults []dataflow.Fault
-		seen := map[string]bool{}
-		for _, site := range tracer.Trace() {
-			if site.Occurrence != 1 || !strings.Contains(site.Stage, "+") || seen[site.Stage] {
-				continue
-			}
-			seen[site.Stage] = true
-			faults = append(faults, dataflow.Fault{
-				Stage:  site.Stage,
-				Worker: site.Worker,
-				Kind:   dataflow.FaultTransient,
-			})
-		}
-		if len(faults) == 0 {
-			t.Fatalf("seed=%d: fused pipeline exposed no composite-chain fault sites", seed)
-		}
+		want, wantStats, faults := compositeFaults(t, ds, base)
 
 		cfgFault := base
 		cfgFault.FaultPlan = dataflow.NewFaultPlan(faults...)
@@ -95,15 +81,10 @@ func TestDifferentialFusionFaultReplay(t *testing.T) {
 			t.Errorf("seed=%d: no stage retries recorded despite injected faults", seed)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("seed=%d: faulted fused run diverged from fault-free result", seed)
+			t.Errorf("seed=%d: faulted run diverged from fault-free result", seed)
 		}
-
-		// The same faulted fused run also matches a fault-free unfused run.
-		cfgEager := base
-		cfgEager.DisableFusion = true
-		eager, _ := Discover(ds, cfgEager)
-		if !reflect.DeepEqual(got, eager) {
-			t.Errorf("seed=%d: faulted fused run diverged from unfused result", seed)
+		if !reflect.DeepEqual(spanSummary(stats.Dataflow.Spans()), spanSummary(wantStats.Dataflow.Spans())) {
+			t.Errorf("seed=%d: faulted trace diverged from fault-free trace", seed)
 		}
 	}
 }

@@ -72,9 +72,7 @@ func TestPropertyDifferentialOptimizerModes(t *testing.T) {
 // byte-identical both to the fault-free optimized run and to an
 // optimizer-off run.
 func TestDifferentialOptimizerFaultReplay(t *testing.T) {
-	// Composite fault sites and the shared-prefix rewrite only exist on
-	// fused chains; pin against the CI leg that sets DATAFLOW_FUSION=off.
-	t.Setenv("DATAFLOW_FUSION", "on")
+	// Pin against the CI leg that sets DATAFLOW_OPTIMIZER=off.
 	t.Setenv("DATAFLOW_OPTIMIZER", "on")
 	for seed := 0; seed < 8; seed++ {
 		ds := datagen.Random(int64(seed))
@@ -146,9 +144,7 @@ func TestDifferentialOptimizerFaultReplay(t *testing.T) {
 // an optimizer-off run. The on-disk round trip through ProfileDir is checked
 // the same way.
 func TestOptimizerWarmProfileDifferential(t *testing.T) {
-	// The shared-prefix rule rewrites fused chains; pin against the CI leg
-	// that sets DATAFLOW_FUSION=off.
-	t.Setenv("DATAFLOW_FUSION", "on")
+	// Pin against the CI leg that sets DATAFLOW_OPTIMIZER=off.
 	t.Setenv("DATAFLOW_OPTIMIZER", "on")
 	ds := datagen.Random(42)
 	base := Config{Support: 2, Workers: 2}

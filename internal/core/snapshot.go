@@ -33,8 +33,8 @@ type RunSnapshot struct {
 	// MaterializedBytes estimates the bytes buffered into partition slices by
 	// narrow-operator stages (RunStats.MaterializedBytes); fusion lowers it.
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
-	// Batches/BatchFill account the columnar batch path across all fused
-	// chains (RunStats.Batches/BatchFill); zero on record-at-a-time runs.
+	// Batches/BatchFill account the column batches of all fused chains
+	// (RunStats.Batches/BatchFill).
 	Batches   int64   `json:"batches,omitempty"`
 	BatchFill float64 `json:"batch_fill,omitempty"`
 	// Cluster fault accounting (RunStats.WorkerLosses/WorkerRespawns/

@@ -1,20 +1,19 @@
 package dataflow
 
-// This file is the columnar batch-at-a-time execution path of the lazy plan
-// layer (plan.go). Everything downstream of ingest is dictionary-encoded IDs,
-// so instead of streaming one record at a time through the fused chain's
-// nested closures, the batch path moves column slices of up to batchSize
-// records per call: the root slices its retained partitions into dense
-// batches (zero copies), Map fills a per-worker scratch column, Filter clears
-// bits in a selection Bitmap instead of compacting, and FlatMap compacts its
-// emissions into a dense scratch column. The per-fused-op tallies are
-// maintained batch-wise and agree exactly with the record path's counts, and
-// the final sink in Dataset.force appends only the selected lanes — so the
-// materialized output partitions are byte-identical to record-at-a-time
-// execution at every boundary (wide operators, spill codecs, the distributed
-// wire format, retries from retained partitions).
+// This file holds the column kernels that execute the lazy plan layer's
+// fused chains (plan.go). Everything downstream of ingest is
+// dictionary-encoded IDs, so instead of streaming one record at a time through
+// nested closures, a chain moves column slices of up to batchSize records per
+// call: the root slices its retained partitions into dense batches (zero
+// copies), Map fills a per-worker scratch column, Filter clears bits in a
+// selection Bitmap instead of compacting, and FlatMap compacts its emissions
+// into a dense scratch column. The per-fused-op tallies count live records
+// entering each operator, and the final sink in Dataset.force appends only
+// the selected lanes, so every boundary (wide operators, spill codecs, the
+// distributed wire format, retries from retained partitions) sees plain
+// partitions in input order.
 //
-// Scratch discipline: each operator's bfeed closure owns per-worker scratch
+// Scratch discipline: each operator's feed closure owns per-worker scratch
 // (a column and, for Filter, a selection bitmap) that it reuses across
 // batches. That is safe because batches are consumed strictly depth-first —
 // emit returns only after every downstream operator and the sink are done
@@ -47,8 +46,8 @@ func (b colBatch[T]) live() int64 {
 	return int64(b.sel.Count())
 }
 
-// batchFeed is the batch-path analogue of chain.feed: it streams worker w's
-// root partition through every chained function as column batches.
+// batchFeed streams worker w's root partition through every chained function
+// as column batches; it is a chain's feed.
 type batchFeed[T any] func(w int, tally []int64, emit func(colBatch[T]))
 
 // rootBatchFeed slices materialized partitions into dense batches without
@@ -66,7 +65,7 @@ func rootBatchFeed[T any](parts [][]T) batchFeed[T] {
 	}
 }
 
-// batchMap appends a Map to the batch path: f runs over the live lanes of
+// batchMap appends a Map to a chain's feed: f runs over the live lanes of
 // the input column into a same-length scratch column, carrying the selection
 // through unchanged (dead lanes keep stale scratch values no one reads).
 func batchMap[T, U any](prev batchFeed[T], idx int, f func(T) U) batchFeed[U] {

@@ -4,63 +4,20 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
-// Tests for the columnar batch execution path (batch.go): toggle plumbing,
-// batch/fill accounting, span parity with the record path, and fault retry
-// over batched fused chains. Everything columnar-dependent pins the mode with
-// an explicit WithColumnar so the suite is meaningful under either value of
-// the DATAFLOW_COLUMNAR environment default (CI runs both).
-
-func TestColumnarEnvDefault(t *testing.T) {
-	t.Setenv("DATAFLOW_COLUMNAR", "off")
-	if NewContext(1).Columnar() {
-		t.Error("DATAFLOW_COLUMNAR=off: context still columnar")
-	}
-	// An explicit option always wins over the environment.
-	if !NewContext(1, WithColumnar(true)).Columnar() {
-		t.Error("WithColumnar(true) under env off ignored")
-	}
-	t.Setenv("DATAFLOW_COLUMNAR", "on")
-	if !NewContext(1).Columnar() {
-		t.Error("DATAFLOW_COLUMNAR=on: context not columnar")
-	}
-	if NewContext(1, WithColumnar(false)).Columnar() {
-		t.Error("WithColumnar(false) under env on ignored")
-	}
-}
-
-// chainRun executes one Map→Filter fused chain over n records on w workers
-// and returns the sorted output plus the chain's span.
-func chainRun(t *testing.T, n, w int, columnar bool) ([]int, []int64) {
-	t.Helper()
-	c := NewContext(w, WithFusion(true), WithColumnar(columnar))
-	d := Parallelize(c, "in", ints(n))
-	doubled := Map(d, "double", func(x int) int { return 2 * x })
-	kept := Filter(doubled, "small", func(x int) bool { return x < n })
-	got := Collect(kept)
-	sort.Ints(got)
-	if c.Err() != nil {
-		t.Fatalf("n=%d w=%d columnar=%v: %v", n, w, columnar, c.Err())
-	}
-	var sp *[3]int64
-	for _, s := range c.Stats().Spans() {
-		if s.Name == "double+small" {
-			sp = &[3]int64{s.Batches, s.RecordsIn, s.RecordsOut}
-		}
-	}
-	if sp == nil {
-		t.Fatalf("no fused span recorded")
-	}
-	return got, sp[:]
-}
+// Tests for the column kernels of fused chains (batch.go): batch/fill
+// accounting, span accounting against hand-counted records, fault retry over
+// batched chains, and batch-boundary sweeps against a plain-loop oracle.
 
 // TestColumnarBatchAccounting pins the batch math: partitions are sliced into
 // batchSize-lane dense batches, Map and Filter preserve the batch count, and
 // the fill rate is the Filter's survivor fraction.
 func TestColumnarBatchAccounting(t *testing.T) {
 	const n, w = 2500, 2
-	c := NewContext(w, WithFusion(true), WithColumnar(true))
+	c := NewContext(w)
 	d := Parallelize(c, "in", ints(n))
 	doubled := Map(d, "double", func(x int) int { return 2 * x })
 	kept := Filter(doubled, "small", func(x int) bool { return x < n })
@@ -100,96 +57,71 @@ func TestColumnarBatchAccounting(t *testing.T) {
 	}
 }
 
-// TestColumnarDisabledNoBatchAccounting: the record path must leave no batch
-// trace — spans and registry both stay clean, so snapshots diff cleanly
-// across modes.
-func TestColumnarDisabledNoBatchAccounting(t *testing.T) {
-	c := NewContext(2, WithFusion(true), WithColumnar(false))
-	d := Parallelize(c, "in", ints(2500))
-	Map(d, "double", func(x int) int { return 2 * x }).Materialize()
-	for _, sp := range c.Stats().Spans() {
-		if sp.Batches != 0 || sp.BatchFill != 0 {
-			t.Errorf("record-path span %q carries batch accounting: %+v", sp.Name, sp)
-		}
-	}
-	counters := c.Stats().Metrics().Snapshot().Counters
-	for _, k := range []string{"dataflow.batches", "dataflow.batch.lanes", "dataflow.batch.live"} {
-		if counters[k] != 0 {
-			t.Errorf("counter %s = %d on the record path", k, counters[k])
-		}
-	}
-}
-
-// TestColumnarSpanParity compares full span records between the two modes:
-// names, record counts, per-worker attribution, and per-fused-op tallies are
-// identical; only the batch fields differ (set on one side, zero on the
-// other). This is the trace-level half of the differential contract — the
-// record counts the benchmark harness reconciles must not move.
+// TestColumnarSpanParity pins a fused chain's span record against counts
+// worked out by hand: names, records in and out, per-worker attribution, and
+// per-fused-op tallies count live records only — lanes a Filter cleared never
+// reach a later operator's tally — so the record counts the benchmark harness
+// reconciles do not depend on batching.
 func TestColumnarSpanParity(t *testing.T) {
-	run := func(columnar bool) (out []int, spans []struct {
-		name    string
-		in, out int64
-		per     []int64
-		fused   []int64
-	}) {
-		c := NewContext(3, WithFusion(true), WithColumnar(columnar))
-		d := Parallelize(c, "in", ints(5000))
-		m := Map(d, "widen", func(x int) int { return x * 3 })
-		fl := FlatMap(m, "dup-odd", func(x int, emit func(int)) {
-			emit(x)
-			if x%2 != 0 {
-				emit(-x)
-			}
-		})
-		kept := Filter(fl, "bound", func(x int) bool { return x > -9000 })
-		out = Collect(kept)
-		sort.Ints(out)
-		for _, sp := range c.Stats().Spans() {
-			rec := struct {
-				name    string
-				in, out int64
-				per     []int64
-				fused   []int64
-			}{name: sp.Name, in: sp.RecordsIn, out: sp.RecordsOut, per: sp.PerWorker}
-			for _, op := range sp.FusedOps {
-				rec.fused = append(rec.fused, op.RecordsIn)
-			}
-			spans = append(spans, rec)
-			if columnar && sp.Name == "widen+dup-odd+bound" && sp.Batches == 0 {
-				t.Error("columnar fused span recorded no batches")
-			}
-			if !columnar && sp.Batches != 0 {
-				t.Errorf("record-path span %q recorded batches", sp.Name)
-			}
+	const n = 5000
+	c := NewContext(3)
+	d := Parallelize(c, "in", ints(n))
+	kept := Filter(d, "even", func(x int) bool { return x%2 == 0 })
+	m := Map(kept, "widen", func(x int) int { return x * 3 })
+	fl := FlatMap(m, "dup-small", func(x int, emit func(int)) {
+		emit(x)
+		if x < 3000 {
+			emit(-x)
 		}
-		return out, spans
+	})
+	out := Collect(fl)
+	// 2500 evens survive; the 500 below 1000 (3x < 3000) emit twice.
+	if len(out) != 3000 {
+		t.Fatalf("chain output %d records, want 3000", len(out))
 	}
-	batchOut, batchSpans := run(true)
-	recOut, recSpans := run(false)
-	if !reflect.DeepEqual(batchOut, recOut) {
-		t.Fatal("columnar and record outputs differ")
+	var sp *metrics.Span
+	for _, s := range c.Stats().Spans() {
+		if s.Name == "even+widen+dup-small" {
+			sp = &s
+		}
 	}
-	if !reflect.DeepEqual(batchSpans, recSpans) {
-		t.Errorf("span accounting diverged:\ncolumnar: %+v\nrecord:   %+v", batchSpans, recSpans)
+	if sp == nil {
+		t.Fatal("no fused span recorded")
+	}
+	if sp.RecordsIn != n || sp.RecordsOut != 3000 {
+		t.Errorf("span records in/out = %d/%d, want %d/3000", sp.RecordsIn, sp.RecordsOut, n)
+	}
+	// Parallelize spreads 5000 records as 1667/1667/1666.
+	if want := []int64{1667, 1667, 1666}; !reflect.DeepEqual(sp.PerWorker, want) {
+		t.Errorf("per-worker = %v, want %v", sp.PerWorker, want)
+	}
+	var tallies []int64
+	for _, op := range sp.FusedOps {
+		tallies = append(tallies, op.RecordsIn)
+	}
+	if want := []int64{n, 2500, 2500}; !reflect.DeepEqual(tallies, want) {
+		t.Errorf("fused-op tallies = %v, want %v", tallies, want)
+	}
+	if sp.Batches == 0 {
+		t.Error("fused span recorded no batches")
 	}
 }
 
-// TestFusedChainFaultRetryColumnar is the columnar twin of
-// TestFusedChainFaultRetry: a transient fault at the composite site must be
-// retried under the same span name, the replayed worker's per-op tallies and
-// batch counts must reset (one clean pass), and the output must match the
-// record path.
+// TestFusedChainFaultRetryColumnar extends TestFusedChainFaultRetry to the
+// batch accounting: a transient fault at the composite site must be retried
+// under the same span name, and the replayed worker's per-op tallies and
+// batch counts must reset (one clean pass).
 func TestFusedChainFaultRetryColumnar(t *testing.T) {
 	plan := NewFaultPlan(Fault{Stage: "double+small", Worker: 1, Kind: FaultTransient})
-	c := NewContext(2, WithFusion(true), WithColumnar(true), WithFaultPlan(plan), WithRetries(2))
+	c := NewContext(2, WithFaultPlan(plan), WithRetries(2))
 	d := Parallelize(c, "in", ints(10))
 	got := Collect(Filter(Map(d, "double", func(x int) int { return 2 * x }), "small", func(x int) bool { return x < 10 }))
 	if err := c.Err(); err != nil {
-		t.Fatalf("columnar fused chain did not recover from transient fault: %v", err)
+		t.Fatalf("fused chain did not recover from transient fault: %v", err)
 	}
 	sort.Ints(got)
 	if want := []int{0, 2, 4, 6, 8}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("retried columnar chain output %v, want %v", got, want)
+		t.Fatalf("retried chain output %v, want %v", got, want)
 	}
 	if fired := plan.Fired(); len(fired) != 1 {
 		t.Fatalf("fault did not fire at the composite site: %+v", fired)
@@ -219,21 +151,34 @@ func TestFusedChainFaultRetryColumnar(t *testing.T) {
 
 // TestColumnarEquivalenceAcrossWorkers sweeps worker counts and chain shapes
 // the quick-check cannot pin deterministically: batch-boundary sizes around
-// batchSize and multiples, with outputs required byte-equal per partition
-// (not just as a sorted multiset) so partition boundaries round-trip too.
+// batchSize and multiples, with outputs required equal per partition to a
+// plain loop over each input partition, so partition boundaries round-trip
+// too.
 func TestColumnarEquivalenceAcrossWorkers(t *testing.T) {
 	for _, n := range []int{0, 1, batchSize - 1, batchSize, batchSize + 1, 3*batchSize + 17} {
 		for _, w := range []int{1, 2, 4} {
-			run := func(columnar bool) [][]int {
-				c := NewContext(w, WithFusion(true), WithColumnar(columnar))
-				d := Parallelize(c, "in", ints(n))
-				m := Map(d, "inc", func(x int) int { return x + 1 })
-				f := Filter(m, "odd", func(x int) bool { return x%2 == 1 })
-				fl := FlatMap(f, "dup", func(x int, emit func(int)) { emit(x); emit(x * 10) })
-				return fl.Partitions()
+			c := NewContext(w)
+			d := Parallelize(c, "in", ints(n))
+			want := make([][]int, w)
+			for i, part := range d.Partitions() {
+				want[i] = []int{}
+				for _, x := range part {
+					if x++; x%2 == 1 {
+						want[i] = append(want[i], x, x*10)
+					}
+				}
 			}
-			if got, want := run(true), run(false); !reflect.DeepEqual(got, want) {
-				t.Errorf("n=%d w=%d: columnar partitions diverge from record path", n, w)
+			m := Map(d, "inc", func(x int) int { return x + 1 })
+			f := Filter(m, "odd", func(x int) bool { return x%2 == 1 })
+			fl := FlatMap(f, "dup", func(x int, emit func(int)) { emit(x); emit(x * 10) })
+			got := fl.Partitions()
+			for i := range got {
+				if len(got[i]) == 0 && len(want[i]) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("n=%d w=%d: partition %d diverges from the loop oracle", n, w, i)
+				}
 			}
 		}
 	}

@@ -12,11 +12,11 @@
 // combiner-style pre-aggregation before data crosses partitions, mirroring
 // the "early aggregation" the paper uses to cut network traffic (§5.2, §6.1).
 //
-// Narrow operators are lazy by default: they build a logical plan on the
-// Dataset, and a chain of them executes as one fused stage when a wide
+// Narrow operators are lazy: they build a logical plan on the Dataset, and a
+// chain of them executes as one fused, batch-at-a-time stage when a wide
 // operator or a sink forces materialization — the engine-level analogue of
-// Flink's chained operators. See plan.go for the plan layer and
-// WithFusion(false) for the eager escape hatch.
+// Flink's chained operators. See plan.go for the plan layer and batch.go for
+// its column kernels.
 //
 // The engine is fault-tolerant in the way Flink's task recovery made RDFind
 // fault-tolerant (see fault.go): worker panics become StageErrors, stages
@@ -69,8 +69,6 @@ type Context struct {
 	faults      *FaultPlan      // nil: no injection, no tracing
 	memBudget   int64           // bytes of keyed-operator state before spilling; 0: in-memory only
 	spillDir    string          // directory for spill files; "": the OS temp dir
-	fuse        bool            // lazy narrow-operator fusion (plan.go); false: eager per-op stages
-	columnar    bool            // batch-at-a-time fused-chain execution (batch.go); false: record path
 	optim       bool            // cost-based plan optimizer (opt package); false: structural defaults only
 	prof        *opt.Profile    // cross-run observations feeding the optimizer; nil: cold
 	planner     *opt.Planner    // per-job decision maker; nil when disabled or distributed
@@ -143,46 +141,6 @@ func WithSpillDir(dir string) Option {
 	return func(c *Context) { c.spillDir = dir }
 }
 
-// WithFusion toggles lazy narrow-operator fusion (see plan.go). It is on by
-// default; disabling it restores the old eager one-stage-per-operator
-// execution, which the differential suites compare fused runs against. The
-// DATAFLOW_FUSION environment variable ("off"/"0"/"false" disables,
-// "on"/"1"/"true" enables) sets the process-wide default; an explicit
-// WithFusion always wins over the environment.
-func WithFusion(enabled bool) Option {
-	return func(c *Context) { c.fuse = enabled }
-}
-
-// fusionDefault reads the DATAFLOW_FUSION environment toggle.
-func fusionDefault() bool {
-	switch os.Getenv("DATAFLOW_FUSION") {
-	case "off", "0", "false":
-		return false
-	default:
-		return true
-	}
-}
-
-// WithColumnar toggles columnar batch-at-a-time execution of fused chains
-// (see batch.go). It is on by default and only takes effect while fusion is
-// on — the record path and the batch path produce byte-identical partitions,
-// which the batch-vs-record differential suites pin. The DATAFLOW_COLUMNAR
-// environment variable ("off"/"0"/"false" disables, "on"/"1"/"true" enables)
-// sets the process-wide default; an explicit WithColumnar always wins.
-func WithColumnar(enabled bool) Option {
-	return func(c *Context) { c.columnar = enabled }
-}
-
-// columnarDefault reads the DATAFLOW_COLUMNAR environment toggle.
-func columnarDefault() bool {
-	switch os.Getenv("DATAFLOW_COLUMNAR") {
-	case "off", "0", "false":
-		return false
-	default:
-		return true
-	}
-}
-
 // WithOptimizer toggles the cost-based plan optimizer (see the opt package).
 // It is on by default; disabling it restores the pre-optimizer structural
 // defaults (no shared-prefix materialization, no pushdown, global policies),
@@ -227,8 +185,6 @@ func NewContext(workers int, opts ...Option) *Context {
 		epoch:       time.Now(),
 		maxAttempts: 1,
 		backoff:     time.Millisecond,
-		fuse:        fusionDefault(),
-		columnar:    columnarDefault(),
 		optim:       optimizerDefault(),
 		rank:        -1,
 	}
@@ -256,11 +212,12 @@ func (c *Context) Workers() int { return c.workers }
 // MemoryBudget returns the configured spill budget in bytes (0: unbudgeted).
 func (c *Context) MemoryBudget() int64 { return c.memBudget }
 
-// Columnar reports whether fused chains execute batch-at-a-time (the
-// resolved value of WithColumnar and the DATAFLOW_COLUMNAR default). Domain
-// layers use it to select companion columnar data structures — the bitmap
-// candidate sets of internal/extract — alongside the engine's batch kernels.
-func (c *Context) Columnar() bool { return c.columnar }
+// Columnar reports true: fused chains always execute batch-at-a-time.
+//
+// Deprecated: batch-at-a-time is the only narrow-operator execution, so
+// there is nothing to report. Kept only because perfbench/trace.go still
+// calls it.
+func (c *Context) Columnar() bool { return true }
 
 // Optimizer reports whether the cost-based plan optimizer is active for this
 // context (enabled and not suppressed by distributed mode).
@@ -341,9 +298,8 @@ func (c *Context) sleep(d time.Duration) bool {
 }
 
 // Dataset is a horizontally partitioned collection: one slice of records per
-// logical worker. Under fusion (the default) a Dataset may be lazy — a
-// pending narrow-operator chain instead of materialized partitions (see
-// plan.go); every consumer that needs the records (wide operators, Collect,
+// logical worker. A Dataset may be lazy — a pending narrow-operator chain
+// instead of materialized partitions (see plan.go); every consumer that needs the records (wide operators, Collect,
 // GlobalReduce, Len, Partitions, String) forces it exactly once. Like the
 // Context it belongs to, a Dataset is driven by a single job goroutine.
 type Dataset[T any] struct {
@@ -585,115 +541,44 @@ func Parallelize[T any](c *Context, name string, items []T) *Dataset[T] {
 	return &Dataset[T]{ctx: c, parts: parts}
 }
 
-// Map applies f to every record, preserving partitioning. Under fusion it is
-// lazy: the map is appended to the dataset's pending chain and runs when a
-// consumer forces materialization.
+// Map applies f to every record, preserving partitioning. It is lazy: the
+// map is appended to the dataset's pending chain and runs when a consumer
+// forces materialization.
 func Map[T, U any](d *Dataset[T], name string, f func(T) U) *Dataset[U] {
 	c := d.ctx
-	if c.fuse {
-		if c.failed() {
-			return empty[U](c)
-		}
-		if s := d.shuffle; s != nil && c.planner != nil &&
-			c.planner.PushThroughShuffle(s.name, opt.Op{Kind: opt.KindMap, Name: name}) {
-			return &Dataset[U]{ctx: c, shuffle: shuffleMap(s, name, f)}
-		}
-		return &Dataset[U]{ctx: c, plan: chainMap(chainOf(d), name, f)}
-	}
-	d.force()
-	sp := c.begin(name)
-	out := make([][]U, c.workers)
-	counts := make([]int64, c.workers)
-	if !c.runStage(name, func(w int) error {
-		in := d.parts[w]
-		res := out[w] // a retried worker reuses its previous attempt's buffer
-		if cap(res) < len(in) {
-			res = make([]U, len(in))
-		} else {
-			res = res[:len(in)]
-		}
-		for i, t := range in {
-			res[i] = f(t)
-		}
-		out[w] = res
-		counts[w] = int64(len(in))
-		return nil
-	}) {
+	if c.failed() {
 		return empty[U](c)
 	}
-	sp.materializedBytes = estimateMaterializedBytes(out)
-	c.finish(sp, counts, totalLen(out))
-	return &Dataset[U]{ctx: c, parts: out}
+	if s := d.shuffle; s != nil && c.planner != nil &&
+		c.planner.PushThroughShuffle(s.name, opt.Op{Kind: opt.KindMap, Name: name}) {
+		return &Dataset[U]{ctx: c, shuffle: shuffleMap(s, name, f)}
+	}
+	return &Dataset[U]{ctx: c, plan: chainMap(chainOf(d), name, f)}
 }
 
-// FlatMap applies f to every record; f may emit any number of outputs.
-// Under fusion it is lazy, like Map.
+// FlatMap applies f to every record; f may emit any number of outputs. It
+// is lazy, like Map.
 func FlatMap[T, U any](d *Dataset[T], name string, f func(T, func(U))) *Dataset[U] {
 	c := d.ctx
-	if c.fuse {
-		if c.failed() {
-			return empty[U](c)
-		}
-		return &Dataset[U]{ctx: c, plan: chainFlatMap(chainOf(d), name, f)}
-	}
-	d.force()
-	sp := c.begin(name)
-	out := make([][]U, c.workers)
-	counts := make([]int64, c.workers)
-	if !c.runStage(name, func(w int) error {
-		res := out[w][:0] // a retried worker reuses its previous attempt's buffer
-		emit := func(u U) { res = append(res, u) }
-		for _, t := range d.parts[w] {
-			f(t, emit)
-		}
-		out[w] = res
-		counts[w] = int64(len(d.parts[w]))
-		return nil
-	}) {
+	if c.failed() {
 		return empty[U](c)
 	}
-	sp.materializedBytes = estimateMaterializedBytes(out)
-	c.finish(sp, counts, totalLen(out))
-	return &Dataset[U]{ctx: c, parts: out}
+	return &Dataset[U]{ctx: c, plan: chainFlatMap(chainOf(d), name, f)}
 }
 
-// Filter keeps the records satisfying pred, preserving partitioning. It runs
-// directly per partition (no FlatMap emit-closure indirection) and, as a
-// record-subset operator, propagates the input's distinct-key bound — even
-// across a pending chain. Under fusion it is lazy, like Map.
+// Filter keeps the records satisfying pred, preserving partitioning. It is
+// lazy, like Map, and as a record-subset operator propagates the input's
+// distinct-key bound — even across a pending chain.
 func Filter[T any](d *Dataset[T], name string, pred func(T) bool) *Dataset[T] {
 	c := d.ctx
-	if c.fuse {
-		if c.failed() {
-			return empty[T](c)
-		}
-		if s := d.shuffle; s != nil && c.planner != nil &&
-			c.planner.PushThroughShuffle(s.name, opt.Op{Kind: opt.KindFilter, Name: name}) {
-			return &Dataset[T]{ctx: c, shuffle: shuffleFilter(s, name, pred), distinct: d.distinct}
-		}
-		return &Dataset[T]{ctx: c, plan: chainFilter(chainOf(d), name, pred), distinct: d.distinct}
-	}
-	d.force()
-	sp := c.begin(name)
-	out := make([][]T, c.workers)
-	counts := make([]int64, c.workers)
-	if !c.runStage(name, func(w int) error {
-		in := d.parts[w]
-		res := out[w][:0] // a retried worker reuses its previous attempt's buffer
-		for _, t := range in {
-			if pred(t) {
-				res = append(res, t)
-			}
-		}
-		out[w] = res
-		counts[w] = int64(len(in))
-		return nil
-	}) {
+	if c.failed() {
 		return empty[T](c)
 	}
-	sp.materializedBytes = estimateMaterializedBytes(out)
-	c.finish(sp, counts, totalLen(out))
-	return &Dataset[T]{ctx: c, parts: out, distinct: d.distinct}
+	if s := d.shuffle; s != nil && c.planner != nil &&
+		c.planner.PushThroughShuffle(s.name, opt.Op{Kind: opt.KindFilter, Name: name}) {
+		return &Dataset[T]{ctx: c, shuffle: shuffleFilter(s, name, pred), distinct: d.distinct}
+	}
+	return &Dataset[T]{ctx: c, plan: chainFilter(chainOf(d), name, pred), distinct: d.distinct}
 }
 
 // MapPartitions applies f once per partition with the worker index, for
@@ -704,27 +589,10 @@ func Filter[T any](d *Dataset[T], name string, pred func(T) bool) *Dataset[T] {
 func MapPartitions[T, U any](d *Dataset[T], name string, f func(worker int, items []T, emit func(U))) *Dataset[U] {
 	c := d.ctx
 	d.force()
-	if c.fuse {
-		if c.failed() {
-			return empty[U](c)
-		}
-		return &Dataset[U]{ctx: c, plan: chainMapPartitions(d.parts, name, f)}
-	}
-	sp := c.begin(name)
-	out := make([][]U, c.workers)
-	counts := make([]int64, c.workers)
-	if !c.runStage(name, func(w int) error {
-		res := out[w][:0] // a retried worker reuses its previous attempt's buffer
-		f(w, d.parts[w], func(u U) { res = append(res, u) })
-		out[w] = res
-		counts[w] = int64(len(d.parts[w]))
-		return nil
-	}) {
+	if c.failed() {
 		return empty[U](c)
 	}
-	sp.materializedBytes = estimateMaterializedBytes(out)
-	c.finish(sp, counts, totalLen(out))
-	return &Dataset[U]{ctx: c, parts: out}
+	return &Dataset[U]{ctx: c, plan: chainMapPartitions(d.parts, name, f)}
 }
 
 // Pair is a keyed record, the currency of shuffles.
@@ -1198,7 +1066,7 @@ func PartitionBy[T any](d *Dataset[T], name string, part func(T) int) *Dataset[T
 		}
 		return p
 	}
-	if c.planner != nil && c.fuse && !c.distributed() && !c.failed() {
+	if c.planner != nil && !c.distributed() && !c.failed() {
 		// Optimizer path: leave the shuffle pending so Maps and Filters can
 		// push onto its scatter side (shuffleplan.go). Routing stays on the
 		// pre-image, so placement — and the final bytes — are identical.

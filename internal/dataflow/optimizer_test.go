@@ -49,7 +49,7 @@ func seqInts(n int) []int {
 func TestOptimizerSharedPrefixMaterializes(t *testing.T) {
 	run := func(prof *opt.Profile, consumers int) (int64, [][]int, *opt.Report) {
 		var calls atomic.Int64
-		opts := []Option{WithFusion(true), WithOptimizer(true)}
+		opts := []Option{WithOptimizer(true)}
 		if prof != nil {
 			opts = append(opts, WithProfile(prof))
 		}
@@ -88,7 +88,7 @@ func TestOptimizerSharedPrefixMaterializes(t *testing.T) {
 
 	// Optimizer off: every consumer replays the prefix.
 	var calls3 atomic.Int64
-	c := NewContext(2, WithFusion(true), WithOptimizer(false))
+	c := NewContext(2, WithOptimizer(false))
 	base := Parallelize(c, "src", seqInts(100))
 	shared := Map(base, "stage/expensive", func(v int) int { calls3.Add(1); return v * 3 })
 	var off [][]int
@@ -118,9 +118,9 @@ func TestOptimizerShufflePushdown(t *testing.T) {
 		return kept.Partitions()
 	}
 
-	on := NewContext(4, WithFusion(true), WithOptimizer(true))
+	on := NewContext(4, WithOptimizer(true))
 	got := build(on)
-	off := NewContext(4, WithFusion(true), WithOptimizer(false))
+	off := NewContext(4, WithOptimizer(false))
 	want := build(off)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("pushdown changed partition contents or order:\n on=%v\noff=%v", got, want)
@@ -161,14 +161,14 @@ func TestOptimizerShufflePushdown(t *testing.T) {
 // pending shuffle: deriving a pushed plan never mutates the original, and a
 // second consumer forces the un-extended shuffle with correct contents.
 func TestOptimizerShuffleSecondConsumer(t *testing.T) {
-	c := NewContext(3, WithFusion(true), WithOptimizer(true))
+	c := NewContext(3, WithOptimizer(true))
 	d := Parallelize(c, "src", seqInts(90))
 	shuffled := PartitionBy(d, "route", func(v int) int { return v })
 	mapped := Map(shuffled, "project", func(v int) int { return -v })
 	raw := shuffled.Partitions() // second consumer: forces the original shuffle
 	got := mapped.Partitions()
 
-	off := NewContext(3, WithFusion(true), WithOptimizer(false))
+	off := NewContext(3, WithOptimizer(false))
 	dOff := Parallelize(off, "src", seqInts(90))
 	shuffledOff := PartitionBy(dOff, "route", func(v int) int { return v })
 	wantRaw := shuffledOff.Partitions()
@@ -191,7 +191,7 @@ func TestOptimizerCombinerSkip(t *testing.T) {
 		items[i] = Pair[int, int]{Key: i, Val: i} // all keys unique: worst case for the combiner
 	}
 	run := func(prof *opt.Profile) ([]Pair[int, int], *Context) {
-		opts := []Option{WithFusion(true), WithOptimizer(true)}
+		opts := []Option{WithOptimizer(true)}
 		if prof != nil {
 			opts = append(opts, WithProfile(prof))
 		}
@@ -228,10 +228,10 @@ func TestOptimizerCombinerSkip(t *testing.T) {
 		hot[i] = Pair[int, int]{Key: i % 10, Val: 1}
 	}
 	prof2 := opt.NewProfile()
-	c3 := NewContext(3, WithFusion(true), WithOptimizer(true), WithProfile(prof2))
+	c3 := NewContext(3, WithOptimizer(true), WithProfile(prof2))
 	ReduceByKey(Parallelize(c3, "src", hot), "sum", func(a, b int) int { return a + b }).Partitions()
 	prof2.Observe(c3.Stats().Spans())
-	c4 := NewContext(3, WithFusion(true), WithOptimizer(true), WithProfile(prof2))
+	c4 := NewContext(3, WithOptimizer(true), WithProfile(prof2))
 	ReduceByKey(Parallelize(c4, "src", hot), "sum", func(a, b int) int { return a + b }).Partitions()
 	if c4.OptimizerReport().Fired(opt.RuleCombinerSkip) != 0 {
 		t.Errorf("profitable combiner was skipped")
@@ -244,11 +244,11 @@ func TestOptimizerCombinerSkip(t *testing.T) {
 func TestOptimizerSerialStagePolicy(t *testing.T) {
 	items := seqInts(50) // far under serialRowCutoff
 	prof := opt.NewProfile()
-	c1 := NewContext(4, WithFusion(false), WithOptimizer(true), WithProfile(prof))
+	c1 := NewContext(4, WithOptimizer(true), WithProfile(prof))
 	want := Map(Parallelize(c1, "src", items), "tiny", func(v int) int { return v * 7 }).Partitions()
 	prof.Observe(c1.Stats().Spans())
 
-	c2 := NewContext(4, WithFusion(false), WithOptimizer(true), WithProfile(prof))
+	c2 := NewContext(4, WithOptimizer(true), WithProfile(prof))
 	got := Map(Parallelize(c2, "src", items), "tiny", func(v int) int { return v * 7 }).Partitions()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("serial execution changed results")
@@ -272,7 +272,7 @@ func TestOptimizerSpillBypass(t *testing.T) {
 	const budget = 64 << 20 // generous: profiled state fits thousands of times
 
 	runBudgeted := func(prof *opt.Profile) (*Context, [][]Pair[int, int]) {
-		opts := []Option{WithFusion(true), WithOptimizer(true),
+		opts := []Option{WithOptimizer(true),
 			WithMemoryBudget(budget), WithSpillDir(t.TempDir())}
 		if prof != nil {
 			opts = append(opts, WithProfile(prof))
@@ -298,7 +298,7 @@ func TestOptimizerSpillBypass(t *testing.T) {
 	}
 
 	// A 1-byte budget never bypasses, warm or not: headroom can't be met.
-	c3 := NewContext(2, WithFusion(true), WithOptimizer(true), WithProfile(prof),
+	c3 := NewContext(2, WithOptimizer(true), WithProfile(prof),
 		WithMemoryBudget(1), WithSpillDir(t.TempDir()))
 	ReduceByKey(Parallelize(c3, "src", items), "agg", sum).Partitions()
 	if c3.OptimizerReport().Fired(opt.RuleSpillBypass) != 0 {

@@ -8,10 +8,11 @@ import "repro/internal/dataflow/opt"
 // whole chain runs as ONE fused stage when something needs the data. A wide
 // operator (ReduceByKey, GroupByKey, CoGroup, Distinct, PartitionBy, Union),
 // Collect, GlobalReduce, Len, Partitions, or String forces materialization;
-// the fused stage streams every source record through all chained functions
-// in a single pass — one goroutine fan-out, one output buffer per worker,
-// zero intermediate partitions — which is how Flink executes RDFind's long
-// narrow chains as chained operators (App. C of the paper).
+// the fused stage streams every source partition through all chained
+// functions as column batches (batch.go) in a single pass — one goroutine
+// fan-out, one output buffer per worker, zero intermediate partitions — which
+// is how Flink executes RDFind's long narrow chains as chained operators
+// (App. C of the paper).
 //
 // Chains are always rooted at materialized partitions: extending a lazy
 // dataset composes onto its pending chain, extending a materialized dataset
@@ -25,25 +26,20 @@ import "repro/internal/dataflow/opt"
 // Fault tolerance keeps the retained-input contract at chain granularity: the
 // fused stage's inputs are the chain's materialized root partitions, so a
 // retried worker replays the whole chain from them (and resets its per-op
-// tallies), exactly as an eager stage replays from its retained input.
-// WithFusion(false) — or DATAFLOW_FUSION=off in the environment — restores
-// the old eager one-stage-per-operator execution for differential testing.
+// tallies and batch accounting).
 
 // chain is a pending narrow-operator chain. T is the type the chain emits;
 // the materialized root partitions it reads are captured inside feed.
 // srcLens holds the root's per-worker partition lengths (the fused stage's
 // input accounting), ops the chained operator names in application order, and
-// feed streams worker w's root partition through every chained function,
-// incrementing tally[i] for each record entering the i-th operator. bfeed is
-// the columnar twin of feed (batch.go): the same chain as batch-at-a-time
-// column kernels, producing identical output records and identical tallies.
-// Every constructor builds both; force picks one per Context.columnar.
+// feed streams worker w's root partition through every chained function as
+// column batches, incrementing tally[i] for each live record entering the
+// i-th operator.
 type chain[T any] struct {
 	srcLens []int64
 	ops     []string
 	kinds   []opt.Kind // operator kinds parallel to ops, for lifting into the optimizer IR
-	feed    func(w int, tally []int64, emit func(T))
-	bfeed   batchFeed[T]
+	feed    batchFeed[T]
 }
 
 // lift raises the pending chain into the optimizer's logical-plan IR.
@@ -84,15 +80,7 @@ func chainOf[T any](d *Dataset[T]) *chain[T] {
 	for w, p := range parts {
 		lens[w] = int64(len(p))
 	}
-	return &chain[T]{
-		srcLens: lens,
-		feed: func(w int, _ []int64, emit func(T)) {
-			for _, t := range parts[w] {
-				emit(t)
-			}
-		},
-		bfeed: rootBatchFeed(parts),
-	}
+	return &chain[T]{srcLens: lens, feed: rootBatchFeed(parts)}
 }
 
 // extendOps copies the op-name slice and appends name. The copy matters:
@@ -112,57 +100,31 @@ func extendKinds(kinds []opt.Kind, k opt.Kind) []opt.Kind {
 
 // chainMap appends a Map to the chain.
 func chainMap[T, U any](p *chain[T], name string, f func(T) U) *chain[U] {
-	idx := len(p.ops)
-	prev := p.feed
 	return &chain[U]{
 		srcLens: p.srcLens,
 		ops:     extendOps(p.ops, name),
 		kinds:   extendKinds(p.kinds, opt.KindMap),
-		feed: func(w int, tally []int64, emit func(U)) {
-			prev(w, tally, func(t T) {
-				tally[idx]++
-				emit(f(t))
-			})
-		},
-		bfeed: batchMap(p.bfeed, idx, f),
+		feed:    batchMap(p.feed, len(p.ops), f),
 	}
 }
 
 // chainFlatMap appends a FlatMap to the chain.
 func chainFlatMap[T, U any](p *chain[T], name string, f func(T, func(U))) *chain[U] {
-	idx := len(p.ops)
-	prev := p.feed
 	return &chain[U]{
 		srcLens: p.srcLens,
 		ops:     extendOps(p.ops, name),
 		kinds:   extendKinds(p.kinds, opt.KindFlatMap),
-		feed: func(w int, tally []int64, emit func(U)) {
-			prev(w, tally, func(t T) {
-				tally[idx]++
-				f(t, emit)
-			})
-		},
-		bfeed: batchFlatMap(p.bfeed, idx, f),
+		feed:    batchFlatMap(p.feed, len(p.ops), f),
 	}
 }
 
 // chainFilter appends a Filter to the chain.
 func chainFilter[T any](p *chain[T], name string, pred func(T) bool) *chain[T] {
-	idx := len(p.ops)
-	prev := p.feed
 	return &chain[T]{
 		srcLens: p.srcLens,
 		ops:     extendOps(p.ops, name),
 		kinds:   extendKinds(p.kinds, opt.KindFilter),
-		feed: func(w int, tally []int64, emit func(T)) {
-			prev(w, tally, func(t T) {
-				tally[idx]++
-				if pred(t) {
-					emit(t)
-				}
-			})
-		},
-		bfeed: batchFilter(p.bfeed, idx, pred),
+		feed:    batchFilter(p.feed, len(p.ops), pred),
 	}
 }
 
@@ -179,11 +141,7 @@ func chainMapPartitions[T, U any](parts [][]T, name string, f func(worker int, i
 		srcLens: lens,
 		ops:     []string{name},
 		kinds:   []opt.Kind{opt.KindMapPartitions},
-		feed: func(w int, tally []int64, emit func(U)) {
-			tally[0] += int64(len(parts[w]))
-			f(w, parts[w], emit)
-		},
-		bfeed: batchMapPartitions(parts, f),
+		feed:    batchMapPartitions(parts, f),
 	}
 }
 
@@ -230,14 +188,11 @@ func (d *Dataset[T]) force() {
 	sp := c.begin(name)
 	out := make([][]T, c.workers)
 	tallies := make([][]int64, c.workers)
-	// Per-worker batch accounting for the columnar path: batches emitted into
-	// the sink, total lanes they carried, and lanes still live (selected).
-	var batches, lanes, live []int64
-	if c.columnar {
-		batches = make([]int64, c.workers)
-		lanes = make([]int64, c.workers)
-		live = make([]int64, c.workers)
-	}
+	// Per-worker batch accounting: batches emitted into the sink, total lanes
+	// they carried, and lanes still live (selected).
+	batches := make([]int64, c.workers)
+	lanes := make([]int64, c.workers)
+	live := make([]int64, c.workers)
 	if !c.runStage(name, func(w int) error {
 		tally := tallies[w]
 		if tally == nil {
@@ -254,24 +209,20 @@ func (d *Dataset[T]) force() {
 		} else {
 			res = res[:0]
 		}
-		if c.columnar {
-			batches[w], lanes[w], live[w] = 0, 0, 0 // retried workers restart cleanly
-			p.bfeed(w, tally, func(b colBatch[T]) {
-				batches[w]++
-				lanes[w] += int64(len(b.vals))
-				if b.dense() {
-					live[w] += int64(len(b.vals))
-					res = append(res, b.vals...)
-				} else {
-					b.sel.ForEach(func(i int) {
-						live[w]++
-						res = append(res, b.vals[i])
-					})
-				}
-			})
-		} else {
-			p.feed(w, tally, func(t T) { res = append(res, t) })
-		}
+		batches[w], lanes[w], live[w] = 0, 0, 0 // retried workers restart cleanly
+		p.feed(w, tally, func(b colBatch[T]) {
+			batches[w]++
+			lanes[w] += int64(len(b.vals))
+			if b.dense() {
+				live[w] += int64(len(b.vals))
+				res = append(res, b.vals...)
+			} else {
+				b.sel.ForEach(func(i int) {
+					live[w]++
+					res = append(res, b.vals[i])
+				})
+			}
+		})
 		out[w] = res
 		return nil
 	}) {
@@ -281,11 +232,9 @@ func (d *Dataset[T]) force() {
 	if len(p.ops) > 1 {
 		sp.fusedOps = fusedOpCounts(p.ops, tallies)
 	}
-	if c.columnar {
-		sp.batches = sumCounts(batches)
-		sp.batchLanes = sumCounts(lanes)
-		sp.batchLive = sumCounts(live)
-	}
+	sp.batches = sumCounts(batches)
+	sp.batchLanes = sumCounts(lanes)
+	sp.batchLive = sumCounts(live)
 	sp.materializedBytes = estimateMaterializedBytes(out)
 	c.finish(sp, p.srcLens, totalLen(out))
 	d.parts = out

@@ -13,9 +13,7 @@ import (
 
 // Tests for the lazy plan layer (plan.go): partition balance, forcing
 // semantics, fused-stage naming and accounting, fault retry on fused chains,
-// and fused-vs-eager equivalence. Everything fusion-dependent pins the mode
-// with an explicit WithFusion so the suite is meaningful under either value
-// of the DATAFLOW_FUSION environment default (CI runs both).
+// and equivalence with plain-loop oracles.
 
 func TestParallelizeBalancedPartitions(t *testing.T) {
 	for _, tc := range []struct{ n, w int }{
@@ -59,7 +57,7 @@ func TestParallelizeBalancedPartitions(t *testing.T) {
 
 func TestSinksForceExactlyOnce(t *testing.T) {
 	var calls atomic.Int64
-	c := NewContext(3, WithFusion(true))
+	c := NewContext(3)
 	d := Map(Parallelize(c, "in", ints(10)), "count-calls", func(x int) int {
 		calls.Add(1)
 		return x
@@ -92,7 +90,7 @@ func TestSinksForceExactlyOnce(t *testing.T) {
 func TestMaterializePinsSharedParent(t *testing.T) {
 	run := func(materialize bool) int64 {
 		var calls atomic.Int64
-		c := NewContext(2, WithFusion(true))
+		c := NewContext(2)
 		parent := Map(Parallelize(c, "in", ints(8)), "shared", func(x int) int {
 			calls.Add(1)
 			return x
@@ -132,7 +130,7 @@ func TestFusedNameComposition(t *testing.T) {
 }
 
 func TestFusedChainRunsAsOneStage(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(10))
 	doubled := Map(d, "double", func(x int) int { return 2 * x })
 	small := Filter(doubled, "small", func(x int) bool { return x < 10 })
@@ -183,7 +181,7 @@ func TestFusedChainRunsAsOneStage(t *testing.T) {
 }
 
 func TestSingleOpChainKeepsPlainSpan(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(4))
 	Map(d, "only", func(x int) int { return x }).Materialize()
 	spans := c.Stats().Spans()
@@ -197,7 +195,7 @@ func TestSingleOpChainKeepsPlainSpan(t *testing.T) {
 }
 
 func TestMapPartitionsIsInputBarrierOutputLazy(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(8))
 	up := Map(d, "up", func(x int) int { return x + 1 })
 	mp := MapPartitions(up, "mp", func(w int, items []int, emit func(int)) {
@@ -224,53 +222,12 @@ func TestMapPartitionsIsInputBarrierOutputLazy(t *testing.T) {
 	}
 }
 
-func TestFusionDisabledMatchesEagerSpans(t *testing.T) {
-	c := NewContext(2, WithFusion(false))
-	d := Parallelize(c, "in", ints(10))
-	got := Collect(Filter(Map(d, "double", func(x int) int { return 2 * x }), "small", func(x int) bool { return x < 10 }))
-	sort.Ints(got)
-	if want := []int{0, 2, 4, 6, 8}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("unfused output %v, want %v", got, want)
-	}
-	var names []string
-	for _, sp := range c.Stats().Spans() {
-		names = append(names, sp.Name)
-	}
-	if want := []string{"in", "double", "small"}; !reflect.DeepEqual(names, want) {
-		t.Errorf("unfused spans = %v, want %v (one per operator)", names, want)
-	}
-}
-
-func TestFusionEnvDefault(t *testing.T) {
-	countSpans := func(opts ...Option) int {
-		c := NewContext(2, opts...)
-		d := Parallelize(c, "in", ints(4))
-		Map(Map(d, "a", func(x int) int { return x }), "b", func(x int) int { return x }).Len()
-		return len(c.Stats().Spans())
-	}
-	t.Setenv("DATAFLOW_FUSION", "off")
-	if got := countSpans(); got != 3 {
-		t.Errorf("DATAFLOW_FUSION=off: %d spans, want 3 (eager)", got)
-	}
-	// An explicit option always wins over the environment.
-	if got := countSpans(WithFusion(true)); got != 2 {
-		t.Errorf("WithFusion(true) under env off: %d spans, want 2 (fused)", got)
-	}
-	t.Setenv("DATAFLOW_FUSION", "on")
-	if got := countSpans(); got != 2 {
-		t.Errorf("DATAFLOW_FUSION=on: %d spans, want 2 (fused)", got)
-	}
-	if got := countSpans(WithFusion(false)); got != 3 {
-		t.Errorf("WithFusion(false) under env on: %d spans, want 3 (eager)", got)
-	}
-}
-
 func TestFusedChainFaultRetry(t *testing.T) {
 	// The fault site is the fused stage's composite name; the retried worker
 	// must replay the whole chain from the retained root partitions and the
 	// accounting must match a fault-free run.
 	plan := NewFaultPlan(Fault{Stage: "double+small", Worker: 1, Kind: FaultTransient})
-	c := NewContext(2, WithFusion(true), WithFaultPlan(plan), WithRetries(2))
+	c := NewContext(2, WithFaultPlan(plan), WithRetries(2))
 	d := Parallelize(c, "in", ints(10))
 	got := Collect(Filter(Map(d, "double", func(x int) int { return 2 * x }), "small", func(x int) bool { return x < 10 }))
 	if err := c.Err(); err != nil {
@@ -304,7 +261,7 @@ func TestFusedChainExhaustedRetriesFailPipeline(t *testing.T) {
 		Fault{Stage: "a+b", Worker: 0, Occurrence: 1, Kind: FaultTransient},
 		Fault{Stage: "a+b", Worker: 0, Occurrence: 2, Kind: FaultTransient},
 	)
-	c := NewContext(2, WithFusion(true), WithFaultPlan(plan), WithRetries(1))
+	c := NewContext(2, WithFaultPlan(plan), WithRetries(1))
 	d := Parallelize(c, "in", ints(4))
 	out := Map(Map(d, "a", func(x int) int { return x }), "b", func(x int) int { return x })
 	if got := Collect(out); len(got) != 0 {
@@ -317,7 +274,7 @@ func TestFusedChainExhaustedRetriesFailPipeline(t *testing.T) {
 }
 
 func TestFusedStageRecordsMaterializedBytes(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(100))
 	Map(d, "widen", func(x int) [4]int64 { return [4]int64{int64(x)} }).Materialize()
 	snap := c.Stats().Metrics().Snapshot()
@@ -326,64 +283,73 @@ func TestFusedStageRecordsMaterializedBytes(t *testing.T) {
 	}
 }
 
-// Property: any chain of narrow operators produces identical output fused
-// and unfused, and — within fused execution — columnar (batch-at-a-time)
-// and record-at-a-time, across worker counts. (TotalWork legitimately
-// differs between fused and eager: a fused chain's records count once,
-// eager stages count per operator.)
+// Property: any chain of narrow operators produces, across worker counts,
+// exactly what a plain loop over the input produces, in input order.
 func TestQuickFusedUnfusedEquivalence(t *testing.T) {
 	f := func(data []int16, workers uint8) bool {
 		w := int(workers)%4 + 1
-		run := func(fused, columnar bool) []int {
-			c := NewContext(w, WithFusion(fused), WithColumnar(columnar))
-			d := Parallelize(c, "in", data)
-			m := Map(d, "widen", func(x int16) int { return int(x) * 3 })
-			fl := FlatMap(m, "dup-odd", func(x int, emit func(int)) {
-				emit(x)
-				if x%2 != 0 {
-					emit(-x)
+		c := NewContext(w)
+		d := Parallelize(c, "in", data)
+		m := Map(d, "widen", func(x int16) int { return int(x) * 3 })
+		fl := FlatMap(m, "dup-odd", func(x int, emit func(int)) {
+			emit(x)
+			if x%2 != 0 {
+				emit(-x)
+			}
+		})
+		got := Collect(Filter(fl, "bound", func(x int) bool { return x > -50000 }))
+
+		var want []int
+		for _, v := range data {
+			x := int(v) * 3
+			outs := []int{x}
+			if x%2 != 0 {
+				outs = append(outs, -x)
+			}
+			for _, o := range outs {
+				if o > -50000 {
+					want = append(want, o)
 				}
-			})
-			kept := Filter(fl, "bound", func(x int) bool { return x > -50000 })
-			return Collect(kept)
+			}
 		}
-		batch := run(true, true)
-		return reflect.DeepEqual(batch, run(true, false)) &&
-			reflect.DeepEqual(batch, run(false, false))
+		return reflect.DeepEqual(got, want) || len(got) == 0 && len(want) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Fused and unfused execution must also agree through wide operators and
-// under injected faults replayed at per-operator sites that exist in both
-// modes (wide stages keep their names regardless of fusion).
+// A fused chain feeding a wide operator must agree with a map oracle, also
+// when an injected fault at the combine site is replayed.
 func TestFusedUnfusedAgreeThroughShuffle(t *testing.T) {
+	want := map[int]int{}
+	for x := 0; x < 200; x++ {
+		want[x%7]++
+	}
 	for _, w := range []int{1, 2, 4} {
-		run := func(fused bool) map[int]int {
-			plan := NewFaultPlan(Fault{Stage: "count/combine", Worker: 0, Kind: FaultTransient})
-			c := NewContext(w, WithFusion(fused), WithFaultPlan(plan), WithRetries(2))
-			d := Parallelize(c, "in", ints(200))
-			pairs := Map(d, "pair", func(x int) Pair[int, int] { return Pair[int, int]{x % 7, 1} })
-			counts := ReduceByKey(pairs, "count", func(a, b int) int { return a + b })
-			if c.Err() != nil {
-				t.Fatalf("w=%d fused=%v: %v", w, fused, c.Err())
-			}
-			out := map[int]int{}
-			for _, kv := range Collect(counts) {
-				out[kv.Key] = kv.Val
-			}
-			return out
+		plan := NewFaultPlan(Fault{Stage: "count/combine", Worker: 0, Kind: FaultTransient})
+		c := NewContext(w, WithFaultPlan(plan), WithRetries(2))
+		d := Parallelize(c, "in", ints(200))
+		pairs := Map(d, "pair", func(x int) Pair[int, int] { return Pair[int, int]{x % 7, 1} })
+		counts := ReduceByKey(pairs, "count", func(a, b int) int { return a + b })
+		got := map[int]int{}
+		for _, kv := range Collect(counts) {
+			got[kv.Key] = kv.Val
 		}
-		if fused, eager := run(true), run(false); !reflect.DeepEqual(fused, eager) {
-			t.Errorf("w=%d: fused %v != eager %v", w, fused, eager)
+		if c.Err() != nil {
+			t.Fatalf("w=%d: %v", w, c.Err())
+		}
+		if len(plan.Fired()) != 1 {
+			t.Errorf("w=%d: combine fault fired %d times, want 1", w, len(plan.Fired()))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("w=%d: counts %v, want %v", w, got, want)
 		}
 	}
 }
 
 func TestSpanTreeRendersFusedOps(t *testing.T) {
-	c := NewContext(2, WithFusion(true))
+	c := NewContext(2)
 	d := Parallelize(c, "in", ints(4))
 	Map(Map(d, "a", func(x int) int { return x }), "b", func(x int) int { return x }).Len()
 	tree := c.Stats().SpanTree()
@@ -412,7 +378,7 @@ func TestForceAfterFailureYieldsEmpty(t *testing.T) {
 	plan := NewFaultPlan(
 		Fault{Stage: "boom", Worker: 0, Occurrence: 1, Kind: FaultTransient},
 	)
-	c := NewContext(2, WithFusion(true), WithFaultPlan(plan), WithRetries(0))
+	c := NewContext(2, WithFaultPlan(plan), WithRetries(0))
 	d := Parallelize(c, "in", ints(4))
 	Map(d, "boom", func(x int) int { return x }).Materialize()
 	if c.Err() == nil {

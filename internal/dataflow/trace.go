@@ -38,12 +38,12 @@ type activeSpan struct {
 	// fusedOps attributes a fused chain's per-operator record counts (only
 	// set for chains of length > 1; single-op stages keep plain spans).
 	fusedOps []metrics.FusedOp
-	// materializedBytes estimates the output partitions a narrow stage (or
-	// fused chain) wrote — the quantity fusion exists to shrink.
+	// materializedBytes estimates the output partitions a fused chain wrote
+	// (only its final output; nothing between its operators).
 	materializedBytes int64
-	// batches/batchLanes/batchLive account the columnar path of a fused
-	// chain (batch.go): column batches that reached the sink, the lanes they
-	// carried, and the lanes still selected. All zero on the record path.
+	// batches/batchLanes/batchLive account a fused chain's column batches
+	// (batch.go): batches that reached the sink, the lanes they carried, and
+	// the lanes still selected. All zero on stages that are not chains.
 	batches    int64
 	batchLanes int64
 	batchLive  int64
@@ -171,8 +171,8 @@ func sumCounts(counts []int64) int64 {
 // estimateMaterializedBytes estimates the bytes a narrow stage's output
 // partitions occupy, one sample record per partition extrapolated like the
 // shuffle estimate below. Fused chains materialize only their final output,
-// so this is the footprint the fusion layer saves relative to eager per-op
-// stages; benchdiff gates on its regression.
+// so this is the footprint of a chain's result, not of its intermediate
+// operators; benchdiff gates on its regression.
 func estimateMaterializedBytes[T any](parts [][]T) int64 {
 	var total int64
 	for _, p := range parts {

@@ -45,12 +45,12 @@ type PipelineRun struct {
 	SpilledRuns  int64 `json:"spilled_runs,omitempty"`
 	// MaterializedBytes estimates the bytes buffered into partition slices by
 	// narrow-operator stages (core.RunStats.MaterializedBytes); additive within
-	// schema v1, zero in records from before the counter existed. Fusion
-	// lowers it, and benchdiff gates on regressions when both sides measured.
+	// schema v1, zero in records from before the counter existed. benchdiff
+	// gates on regressions when both sides measured.
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
-	// Batches/BatchFill account the columnar batch path across the run's fused
-	// chains (core.RunStats.Batches/BatchFill); additive within schema v1, zero
-	// on record-at-a-time runs and in records from before the counters existed.
+	// Batches/BatchFill account the column batches of the run's fused chains
+	// (core.RunStats.Batches/BatchFill); additive within schema v1, zero in
+	// records from before the counters existed.
 	Batches   int64   `json:"batches,omitempty"`
 	BatchFill float64 `json:"batch_fill,omitempty"`
 	// OptDecisions/OptRules summarize the plan optimizer's report for the run:

@@ -3,6 +3,8 @@ package extract
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/bloom"
 	"repro/internal/cind"
@@ -41,14 +43,11 @@ const (
 // candSetCodec spills Pair[cind.Capture, *candSet]. The value layout is a
 // varint group count, one flags byte, then either a uvarint-counted list of
 // 11-byte captures (exact sets) or a bloom.Filter binary image (approximate
-// sets). Bitmap-backed exact sets (Config.BitmapSets) encode under the same
-// exact flag as their live captures in sorted universe order, so the wire
-// format is identical to the map representation's — and, unlike map
-// iteration, byte-deterministic. Map iteration order is nondeterministic, so
-// two encodings of the same map set may differ byte-wise — harmless, because
-// the spill path only compares key bytes, never value bytes. Decoding always
-// allocates fresh objects (bitmap sets decode to the map form; mergeCandSets
-// handles every mixed pairing), which keeps in-place mutation safe.
+// sets). Exact sets encode their live captures in sorted universe order, so
+// encodings are byte-deterministic. Decoding rebuilds the bitmap form — the
+// captures, sorted and deduplicated, become a fresh universe with every bit
+// set — so it accepts any capture order and repeated captures, and always
+// allocates fresh objects, which keeps in-place mutation safe.
 type candSetCodec struct{}
 
 func (candSetCodec) AppendKey(dst []byte, k cind.Capture) []byte {
@@ -90,11 +89,15 @@ func (candSetCodec) DecodeValue(src []byte) *candSet {
 	if flags&candSetHasExact != 0 {
 		sz, n := binary.Uvarint(src)
 		src = src[n:]
-		cs.exact = make(map[cind.Capture]struct{}, sz)
+		refs := make([]cind.Capture, 0, min(sz, uint64(len(src)/cind.CaptureWireSize)))
 		for i := uint64(0); i < sz; i++ {
-			cs.exact[cind.CaptureAt(src)] = struct{}{}
+			refs = append(refs, cind.CaptureAt(src))
 			src = src[cind.CaptureWireSize:]
 		}
+		sort.Slice(refs, func(i, j int) bool { return captureLess(refs[i], refs[j]) })
+		cs.refs = slices.Compact(refs)
+		cs.bits = dataflow.NewBitmap(len(cs.refs))
+		cs.bits.SetAll()
 	}
 	if flags&candSetHasBloom != 0 {
 		f, _, err := bloom.FromBinary(src)

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -11,13 +12,13 @@ import (
 	"repro/internal/rdf"
 )
 
-// Wire-parity tests for the bitmap candidate-set representation
-// (Config.BitmapSets): a bitmap set must encode through candSetCodec to the
-// same logical value as the map set holding the same captures, the bitmap
-// encoding must be byte-deterministic, and mergeCandSets must intersect
-// correctly across every mixed representation pairing — these are the
-// invariants that let the spill path and the cluster collective frames carry
-// either representation interchangeably.
+// Codec and merge tests for bitmap candidate sets: a set must round-trip
+// through candSetCodec to a bitmap-backed set with the same live captures,
+// encodings must be byte-deterministic, any exact frame — also one with
+// unsorted or repeated captures — must decode to the right set, and
+// mergeCandSets must intersect correctly across bitmap and Bloom pairings.
+// These are the invariants the spill path and the cluster collective frames
+// rely on.
 
 // bitsSet builds a bitmap candSet over the given universe with exactly the
 // live captures selected, the way ext/candidates-exact builds them.
@@ -34,25 +35,17 @@ func bitsSet(universe []cind.Capture, live ...cind.Capture) *candSet {
 	return &candSet{refs: refs, bits: bits, count: 1}
 }
 
-func mapSet(live ...cind.Capture) *candSet {
-	m := map[cind.Capture]struct{}{}
-	for _, c := range live {
-		m[c] = struct{}{}
-	}
-	return &candSet{exact: m, count: 1}
-}
-
 func liveMap(cs *candSet) map[cind.Capture]struct{} {
 	m := map[cind.Capture]struct{}{}
 	cs.liveRefs(func(c cind.Capture) { m[c] = struct{}{} })
 	return m
 }
 
-// TestCandSetCodecBitmapMapParity: a bitmap set and a map set holding the
-// same live captures decode to the same exact set through the spill/wire
-// codec, and the bitmap encoding (sorted universe order) is deterministic —
-// two encodings of the same set are byte-identical.
-func TestCandSetCodecBitmapMapParity(t *testing.T) {
+// TestCandSetCodecRoundTrip: a bitmap set decodes through the spill/wire
+// codec to a bitmap-backed set holding exactly its live captures, and the
+// encoding (sorted universe order) is deterministic — two encodings of equal
+// sets are byte-identical.
+func TestCandSetCodecRoundTrip(t *testing.T) {
 	var universe []cind.Capture
 	for v := rdf.Value(0); v < 9; v++ {
 		universe = append(universe, cap(rdf.Subject, cind.Unary(rdf.Predicate, v)))
@@ -61,51 +54,74 @@ func TestCandSetCodecBitmapMapParity(t *testing.T) {
 
 	codec := candSetCodec{}
 	bm := bitsSet(universe, live...)
-	mp := mapSet(live...)
-
-	encBits := codec.AppendValue(nil, bm)
-	encMap := codec.AppendValue(nil, mp)
-
-	decBits := codec.DecodeValue(encBits)
-	decMap := codec.DecodeValue(encMap)
-	// Decoding always yields the map form; both representations must decode
-	// to the same live set with the same bookkeeping.
-	if decBits.refs != nil {
-		t.Error("decoded bitmap set still carries a universe (should be map form)")
+	enc := codec.AppendValue(nil, bm)
+	dec := codec.DecodeValue(enc)
+	if dec.refs == nil {
+		t.Fatal("decoded exact set is not bitmap-backed")
 	}
-	if !reflect.DeepEqual(decBits.exact, decMap.exact) {
-		t.Errorf("decoded sets differ:\nbitmap: %v\nmap:    %v", decBits.exact, decMap.exact)
+	if !reflect.DeepEqual(liveMap(dec), liveMap(bm)) {
+		t.Errorf("round-trip changed the live set: %v vs %v", liveMap(dec), liveMap(bm))
 	}
-	if !reflect.DeepEqual(liveMap(bm), decBits.exact) {
-		t.Errorf("bitmap round-trip lost captures: %v vs %v", liveMap(bm), decBits.exact)
-	}
-	if decBits.count != 1 || decBits.lineage || decBits.approx != nil {
-		t.Errorf("bitmap round-trip bookkeeping: %+v", decBits)
+	if dec.count != 1 || dec.lineage || dec.approx != nil {
+		t.Errorf("round-trip bookkeeping: %+v", dec)
 	}
 
-	// Bitmap encodings are deterministic (sorted universe order), so repeated
-	// encodings — and encodings of an independently built equal set — are
-	// byte-identical. Map encodings make no such promise (map order).
-	if again := codec.AppendValue(nil, bm); !bytes.Equal(encBits, again) {
+	if again := codec.AppendValue(nil, bm); !bytes.Equal(enc, again) {
 		t.Error("re-encoding the same bitmap set produced different bytes")
 	}
 	rebuilt := bitsSet(universe, live[3], live[1], live[0], live[2])
-	if enc := codec.AppendValue(nil, rebuilt); !bytes.Equal(encBits, enc) {
+	if got := codec.AppendValue(nil, rebuilt); !bytes.Equal(enc, got) {
 		t.Error("equal bitmap sets encoded to different bytes")
+	}
+	if got := codec.AppendValue(nil, dec); !bytes.Equal(enc, got) {
+		t.Error("a decoded set re-encoded to different bytes")
 	}
 
 	// All-cleared bitmap (every candidate refuted): encodes as an empty exact
 	// set, still flagged exact so the decode keeps it distinguishable from a
 	// pure-Bloom set.
-	empty := bitsSet(universe)
-	dec := codec.DecodeValue(codec.AppendValue(nil, empty))
-	if dec.exact == nil || len(dec.exact) != 0 {
-		t.Errorf("empty bitmap set decoded to %+v, want empty exact map", dec)
+	empty := codec.DecodeValue(codec.AppendValue(nil, bitsSet(universe)))
+	if !empty.hasExact() || empty.liveLen() != 0 {
+		t.Errorf("empty bitmap set decoded to %+v, want an empty exact set", empty)
+	}
+}
+
+// TestCandSetCodecUnsortedDuplicates decodes a hand-built exact frame whose
+// captures arrive out of order and repeated: the decoded set holds each
+// capture once, in a sorted universe with every bit live.
+func TestCandSetCodecUnsortedDuplicates(t *testing.T) {
+	mk := func(v rdf.Value) cind.Capture { return cap(rdf.Subject, cind.Unary(rdf.Predicate, v)) }
+	c1, c2, c3 := mk(1), mk(2), mk(3)
+	frame := binary.AppendVarint(nil, 5)
+	frame = append(frame, candSetHasExact|candSetLineage)
+	order := []cind.Capture{c3, c1, c3, c2, c1}
+	frame = binary.AppendUvarint(frame, uint64(len(order)))
+	for _, c := range order {
+		frame = cind.AppendCapture(frame, c)
+	}
+
+	dec := candSetCodec{}.DecodeValue(frame)
+	if dec.count != 5 || !dec.lineage || dec.approx != nil {
+		t.Errorf("decoded bookkeeping: %+v", dec)
+	}
+	if want := []cind.Capture{c1, c2, c3}; !reflect.DeepEqual(dec.refs, want) {
+		t.Errorf("decoded universe %v, want %v", dec.refs, want)
+	}
+	if dec.liveLen() != 3 {
+		t.Errorf("decoded %d live captures, want 3", dec.liveLen())
+	}
+	for _, c := range []cind.Capture{c1, c2, c3} {
+		if !dec.containsRef(c) {
+			t.Errorf("decoded set lost %v", c)
+		}
+	}
+	if dec.containsRef(mk(4)) {
+		t.Error("decoded set holds a capture the frame never carried")
 	}
 }
 
 // TestMergeCandSetsBitmap covers the bitmap arms of Algorithm 3's merge:
-// bits x bits, bits x map, bits x bloom (and the swapped orders), with
+// bits x bits over equal and different universes and bits x bloom, with
 // count/lineage bookkeeping and no mutation of the shared universe slice.
 func TestMergeCandSetsBitmap(t *testing.T) {
 	mk := func(v rdf.Value) cind.Capture { return cap(rdf.Subject, cind.Unary(rdf.Predicate, v)) }
@@ -117,7 +133,7 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 		if m.count != count || m.lineage != lineage {
 			t.Errorf("merge bookkeeping: count=%d lineage=%v, want %d/%v", m.count, m.lineage, count, lineage)
 		}
-		if got, exp := liveMap(m), liveMap(mapSet(caps...)); !reflect.DeepEqual(got, exp) {
+		if got, exp := liveMap(m), liveMap(bitsSet(caps, caps...)); !reflect.DeepEqual(got, exp) {
 			t.Errorf("merge kept %v, want %v", got, exp)
 		}
 	}
@@ -128,10 +144,6 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 	// bits ∩ bits over different universes (groups met in the reduce).
 	other := []cind.Capture{c2, c3}
 	want(t, mergeCandSets(bitsSet(universe, c1, c2), bitsSet(other, c2, c3)), 2, false, c2)
-
-	// bits ∩ map, both orders.
-	want(t, mergeCandSets(bitsSet(universe, c1, c2, c4), mapSet(c2, c3, c4)), 2, false, c2, c4)
-	want(t, mergeCandSets(mapSet(c2, c3, c4), bitsSet(universe, c1, c2, c4)), 2, false, c2, c4)
 
 	// bits ∩ bloom: true members survive the probe, lineage is inherited.
 	f := bloom.NewBytes(64, 4)
@@ -153,42 +165,11 @@ func TestMergeCandSetsBitmap(t *testing.T) {
 	depB := &candSet{refs: shared, bits: dataflow.NewBitmap(len(shared)), count: 1}
 	depB.bits.SetAll()
 	before := append([]cind.Capture(nil), shared...)
-	mergeCandSets(depA, mapSet(c1))
+	mergeCandSets(depA, bitsSet(universe, c1))
 	if !reflect.DeepEqual(shared, before) {
 		t.Error("merge reordered the shared universe slice")
 	}
 	if depB.bits.Count() != len(shared) {
 		t.Error("merging one dependent cleared a sibling's bits")
-	}
-}
-
-// TestBroadCINDsBitmapSetsEquivalence: extraction with bitmap candidate sets
-// produces exactly the CINDs (and supports) of the map representation, across
-// worker counts and both extraction strategies.
-func TestBroadCINDsBitmapSetsEquivalence(t *testing.T) {
-	ds := randomDataset(300, 4)
-	for _, w := range []int{1, 3} {
-		for _, direct := range []bool{false, true} {
-			run := func(bitmap bool) map[cind.CIND]bool {
-				got, err := BroadCINDs(groupsFromDataset(dataflow.NewContext(w), ds),
-					Config{Support: 2, DirectExtraction: direct, BitmapSets: bitmap})
-				if err != nil {
-					t.Fatalf("w=%d direct=%v bitmap=%v: %v", w, direct, bitmap, err)
-				}
-				set := map[cind.CIND]bool{}
-				for _, c := range got {
-					set[c] = true
-				}
-				return set
-			}
-			bm, mp := run(true), run(false)
-			if !reflect.DeepEqual(bm, mp) {
-				t.Errorf("w=%d direct=%v: bitmap sets found %d CINDs, map sets %d",
-					w, direct, len(bm), len(mp))
-			}
-			if len(bm) == 0 {
-				t.Errorf("w=%d direct=%v: extraction found nothing (vacuous comparison)", w, direct)
-			}
-		}
 	}
 }

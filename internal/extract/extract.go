@@ -88,15 +88,12 @@ type Config struct {
 	// DirectExtraction, since spilling does not change the plan and therefore
 	// cannot violate the exact-only definition of RDFind-DE.
 	SpillOnLoadLimit bool
-	// BitmapSets selects the columnar representation for exact candidate
-	// sets: one sorted referenced-capture universe shared by all dependent
-	// captures of a group, plus a per-dependent selection bitmap over it —
-	// |G|/64 words per candidate instead of a |G|-entry hash map. Merging
-	// clears bits instead of deleting keys, and the wire/spill codec encodes
-	// the live captures under the same exact-set flag as the map
-	// representation, so encodings stay format-compatible (and become
-	// deterministic: universe order is sorted). Results are identical; core
-	// enables it whenever the engine's columnar batch execution is on.
+	// BitmapSets is ignored: exact candidate sets are always bitmaps over a
+	// sorted capture universe.
+	//
+	// Deprecated: the bitmap representation is the only exact one, so there
+	// is nothing to select. Kept only because perfbench/trace.go still sets
+	// it.
 	BitmapSets bool
 }
 
@@ -124,16 +121,15 @@ func (c Config) bloomBytes() int {
 
 // candSet is a CIND candidate set: a dependent capture's referenced captures
 // plus the number of capture groups seen so far (which sums to the support).
-// Exactly one representation is set: an exact hash map, an exact bitmap
-// (refs+bits: the sorted capture universe of the originating group, shared by
-// all of its dependents, with bit i live meaning refs[i] is a candidate — the
-// columnar form selected by Config.BitmapSets), or a Bloom filter. The
+// Exactly one representation is set: an exact bitmap (refs+bits: the sorted
+// capture universe of the originating group, shared by all of its
+// dependents, with bit i live meaning refs[i] is a candidate — |G|/64 words
+// per candidate instead of a |G|-entry hash map), or a Bloom filter. The
 // lineage flag records whether any Bloom filter took part in building the
 // set; such candidates are uncertain and require validation (Algorithm 3 —
 // we track lineage with OR rather than the paper's AND so that Bloom false
 // positives can never leak into results).
 type candSet struct {
-	exact   map[cind.Capture]struct{}
 	refs    []cind.Capture
 	bits    dataflow.Bitmap
 	approx  *bloom.Filter
@@ -141,40 +137,24 @@ type candSet struct {
 	lineage bool
 }
 
-// liveRefs iterates the exact referenced captures, whichever representation
-// holds them (never called on pure-Bloom sets). Bitmap sets iterate in sorted
-// universe order; map sets in map order — consumers are order-insensitive.
+// liveRefs iterates the exact referenced captures in sorted universe order
+// (never called on pure-Bloom sets).
 func (cs *candSet) liveRefs(f func(cind.Capture)) {
-	if cs.refs != nil {
-		cs.bits.ForEach(func(i int) { f(cs.refs[i]) })
-		return
-	}
-	for r := range cs.exact {
-		f(r)
-	}
+	cs.bits.ForEach(func(i int) { f(cs.refs[i]) })
 }
 
 // liveLen returns the exact-set cardinality (0 for pure-Bloom sets).
-func (cs *candSet) liveLen() int {
-	if cs.refs != nil {
-		return cs.bits.Count()
-	}
-	return len(cs.exact)
-}
+func (cs *candSet) liveLen() int { return cs.bits.Count() }
 
-// hasExact reports whether the set carries an exact representation (map or
-// bitmap) rather than only a Bloom filter.
-func (cs *candSet) hasExact() bool { return cs.exact != nil || cs.refs != nil }
+// hasExact reports whether the set carries an exact bitmap rather than only
+// a Bloom filter.
+func (cs *candSet) hasExact() bool { return cs.refs != nil }
 
-// containsRef reports exact-set membership (map lookup or binary search over
-// the sorted universe plus a bit probe).
+// containsRef reports exact-set membership: binary search over the sorted
+// universe plus a bit probe.
 func (cs *candSet) containsRef(r cind.Capture) bool {
-	if cs.refs != nil {
-		i := searchCapture(cs.refs, r)
-		return i < len(cs.refs) && cs.refs[i] == r && cs.bits.Get(i)
-	}
-	_, ok := cs.exact[r]
-	return ok
+	i := searchCapture(cs.refs, r)
+	return i < len(cs.refs) && cs.refs[i] == r && cs.bits.Get(i)
 }
 
 // captureLess orders captures by (projection, condition attributes, condition
@@ -278,35 +258,20 @@ func BroadCINDsOutcome(groups *dataflow.Dataset[capture.Group], cfg Config) ([]c
 	bloomBytes := cfg.bloomBytes()
 	normalCands := dataflow.FlatMap(normal, "ext/candidates-exact",
 		func(g capture.Group, emit func(dataflow.Pair[cind.Capture, *candSet])) {
-			if cfg.BitmapSets {
-				// One sorted universe per group, shared by every dependent;
-				// each dependent's set is an all-ones bitmap with its own
-				// capture cleared — |G|/64 words instead of a |G|-entry map.
-				universe := sortedUniverse(g.Captures, cfg.RefArity)
-				for _, dep := range g.Captures {
-					if !cfg.DepArity.matches(dep) {
-						continue
-					}
-					bits := dataflow.NewBitmap(len(universe))
-					bits.SetAll()
-					if i := searchCapture(universe, dep); i < len(universe) && universe[i] == dep {
-						bits.Clear(i)
-					}
-					emit(dataflow.Pair[cind.Capture, *candSet]{Key: dep, Val: &candSet{refs: universe, bits: bits, count: 1}})
-				}
-				return
-			}
+			// One sorted universe per group, shared by every dependent; each
+			// dependent's set is an all-ones bitmap with its own capture
+			// cleared.
+			universe := sortedUniverse(g.Captures, cfg.RefArity)
 			for _, dep := range g.Captures {
 				if !cfg.DepArity.matches(dep) {
 					continue
 				}
-				refs := make(map[cind.Capture]struct{}, len(g.Captures)-1)
-				for _, r := range g.Captures {
-					if r != dep && cfg.RefArity.matches(r) {
-						refs[r] = struct{}{}
-					}
+				bits := dataflow.NewBitmap(len(universe))
+				bits.SetAll()
+				if i := searchCapture(universe, dep); i < len(universe) && universe[i] == dep {
+					bits.Clear(i)
 				}
-				emit(dataflow.Pair[cind.Capture, *candSet]{Key: dep, Val: &candSet{exact: refs, count: 1}})
+				emit(dataflow.Pair[cind.Capture, *candSet]{Key: dep, Val: &candSet{refs: universe, bits: bits, count: 1}})
 			}
 		})
 	unitCands := dataflow.FlatMap(units, "ext/candidates-bloom",
@@ -515,45 +480,19 @@ func emptyGroups(d *dataflow.Dataset[capture.Group]) *dataflow.Dataset[capture.G
 }
 
 // mergeCandSets is Algorithm 3: intersect two candidate sets, distinguishing
-// exact/exact, Bloom/Bloom, bitmap, and mixed cases, summing the group counts
-// and propagating Bloom lineage. The intersection is associative and
-// commutative — probing an element against two Bloom filters succeeds exactly
-// when it passes their bit-wise AND — so reduction order does not matter.
+// the bitmap and Bloom/Bloom cases, summing the group counts and propagating
+// Bloom lineage. The intersection is associative and commutative — probing
+// an element against two Bloom filters succeeds exactly when it passes their
+// bit-wise AND — so reduction order does not matter.
 func mergeCandSets(a, b *candSet) *candSet {
 	count := a.count + b.count
 	lineage := a.lineage || b.lineage
 	var res *candSet
-	switch {
-	case a.refs != nil || b.refs != nil:
+	if a.refs != nil || b.refs != nil {
 		res = mergeIntoBits(a, b)
-	case a.exact != nil && b.exact != nil:
-		// Intersect the smaller into the larger for speed.
-		small, large := a, b
-		if len(small.exact) > len(large.exact) {
-			small, large = large, small
-		}
-		for r := range small.exact {
-			if _, ok := large.exact[r]; !ok {
-				delete(small.exact, r)
-			}
-		}
-		res = small
-	case a.approx != nil && b.approx != nil:
+	} else {
 		a.approx.Intersect(b.approx)
 		res = a
-	default:
-		// Mixed: probe the exact side against the Bloom filter and keep the
-		// survivors as the (still possibly over-approximate) exact set.
-		exact, blm := a, b
-		if exact.exact == nil {
-			exact, blm = b, a
-		}
-		for r := range exact.exact {
-			if !blm.approx.Test(r.Key()) {
-				delete(exact.exact, r)
-			}
-		}
-		res = exact
 	}
 	res.count = count
 	res.lineage = lineage
@@ -562,27 +501,22 @@ func mergeCandSets(a, b *candSet) *candSet {
 
 // mergeIntoBits intersects when at least one side is bitmap-backed: the
 // bitmap side (the smaller-cardinality one if both are) probes each live
-// capture against the other representation and clears misses. Clearing bits
+// capture against the other side and clears misses. A probe against a Bloom
+// filter keeps false positives, so the survivors are still possibly
+// over-approximate (the caller's lineage flag marks that). Clearing bits
 // never touches the shared universe slice, so siblings of the originating
 // group are unaffected. The caller overwrites count/lineage.
 func mergeIntoBits(a, b *candSet) *candSet {
 	if a.refs == nil || (b.refs != nil && a.bits.Count() > b.bits.Count()) {
 		a, b = b, a
 	}
-	switch {
-	case b.refs != nil:
+	if b.refs != nil {
 		a.bits.ForEach(func(i int) {
 			if !b.containsRef(a.refs[i]) {
 				a.bits.Clear(i)
 			}
 		})
-	case b.exact != nil:
-		a.bits.ForEach(func(i int) {
-			if _, ok := b.exact[a.refs[i]]; !ok {
-				a.bits.Clear(i)
-			}
-		})
-	default:
+	} else {
 		a.bits.ForEach(func(i int) {
 			if !b.approx.Test(a.refs[i].Key()) {
 				a.bits.Clear(i)

@@ -187,20 +187,15 @@ func oracleBroad(ds *rdf.Dataset, h int) []cind.CIND {
 	return out
 }
 
-// TestMergeCandSets covers Algorithm 3's three cases plus count/lineage
+// TestMergeCandSets covers Algorithm 3's three cases — bits ∩ bits,
+// bits ∩ Bloom in both orders, and Bloom ∩ Bloom — plus count/lineage
 // bookkeeping.
 func TestMergeCandSets(t *testing.T) {
 	c1 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 1))
 	c2 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 2))
 	c3 := cap(rdf.Subject, cind.Unary(rdf.Predicate, 3))
 
-	exact := func(caps ...cind.Capture) *candSet {
-		m := map[cind.Capture]struct{}{}
-		for _, c := range caps {
-			m[c] = struct{}{}
-		}
-		return &candSet{exact: m, count: 1}
-	}
+	exact := func(caps ...cind.Capture) *candSet { return bitsSet(caps, caps...) }
 	blm := func(caps ...cind.Capture) *candSet {
 		f := bloom.NewBytes(64, 4)
 		for _, c := range caps {
@@ -209,18 +204,18 @@ func TestMergeCandSets(t *testing.T) {
 		return &candSet{approx: f, count: 1, lineage: true}
 	}
 
-	// exact ∩ exact
+	// bits ∩ bits
 	m := mergeCandSets(exact(c1, c2, c3), exact(c2, c3))
-	if len(m.exact) != 2 || m.count != 2 || m.lineage {
+	if m.liveLen() != 2 || m.count != 2 || m.lineage {
 		t.Errorf("exact/exact merge wrong: %+v", m)
 	}
 
-	// exact ∩ bloom: probing keeps members present in the filter
+	// bits ∩ bloom: probing keeps members present in the filter
 	m = mergeCandSets(exact(c1, c2), blm(c2))
-	if m.exact == nil || m.count != 2 || !m.lineage {
+	if !m.hasExact() || m.count != 2 || !m.lineage {
 		t.Errorf("mixed merge wrong: %+v", m)
 	}
-	if _, ok := m.exact[c2]; !ok {
+	if !m.containsRef(c2) {
 		t.Errorf("mixed merge dropped true member")
 	}
 
@@ -232,7 +227,7 @@ func TestMergeCandSets(t *testing.T) {
 
 	// order invariance of the mixed case
 	m2 := mergeCandSets(blm(c2), exact(c1, c2))
-	if m2.exact == nil || m2.count != 2 || !m2.lineage {
+	if !m2.hasExact() || m2.count != 2 || !m2.lineage || !m2.containsRef(c2) {
 		t.Errorf("mixed merge (swapped) wrong: %+v", m2)
 	}
 }

@@ -21,24 +21,6 @@ type Options struct {
 	// projections of hot values like rdf:type would create never arise).
 	// Condition detection itself is unaffected.
 	PredicatesOnlyInConditions bool
-	// ExactUnaryIndex replaces the unary Bloom-filter probes of the binary
-	// counting pass (Algorithm 1, steps 5–7) with an exact bitmap over the
-	// dictionary's value space: 3·ValueSpace bits, attribute-major, one per
-	// (attribute, value) unary condition. Results are identical either way —
-	// a Bloom false positive only admits binary candidates whose true count
-	// is below the support threshold (a binary condition is at most as
-	// frequent as its unary parts), so fcd/binary-threshold discards them —
-	// but the exact index probes by a single bit test instead of hashing.
-	// The index is compacted on the driver from the already-materialized
-	// unary counters, adding no dataflow stage. It is opt-in rather than the
-	// default: eliminating the (harmless) false-positive candidates shifts
-	// the intermediate record counts in the span trace, which the pipeline's
-	// golden files pin, and in distributed runs the driver-side compaction
-	// would add a gather collective to the replayed schedule.
-	ExactUnaryIndex bool
-	// ValueSpace is the dictionary size the exact index is laid out over
-	// (rdf.Dictionary.Len()); ExactUnaryIndex is ignored when it is zero.
-	ValueSpace int
 }
 
 // Output is what later pipeline stages need: the exact frequent-condition
@@ -114,18 +96,9 @@ func Detect(triples *dataflow.Dataset[rdf.Triple], h int, opts Options) *Output 
 
 	// Frequent binary conditions: Algorithm 1 — candidates are generated on
 	// demand per triple by probing the unary filter, never materialized
-	// up front (steps 5–7). With ExactUnaryIndex the probe is a bitmap bit
-	// test instead of a Bloom lookup (see Options).
+	// up front (steps 5–7).
 	bu := out.UnaryBloom
 	probe := func(a rdf.Attr, v rdf.Value) bool { return bu.Test(cind.Unary(a, v).Key()) }
-	if opts.ExactUnaryIndex && opts.ValueSpace > 0 {
-		space := opts.ValueSpace
-		idx := dataflow.NewBitmap(3 * space)
-		for _, p := range dataflow.Collect(out.Unary) {
-			idx.Set(int(p.Key.A1)*space + int(p.Key.V1))
-		}
-		probe = func(a rdf.Attr, v rdf.Value) bool { return idx.Get(int(a)*space + int(v)) }
-	}
 	binaryCounters := dataflow.FlatMap(triples, "fcd/binary-counters",
 		func(t rdf.Triple, emit func(dataflow.Pair[cind.Condition, int])) {
 			sF := probe(rdf.Subject, t.S)

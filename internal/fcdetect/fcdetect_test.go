@@ -114,61 +114,6 @@ func TestPredicatesOnlyInConditionsOptionIsDetectorNeutral(t *testing.T) {
 	}
 }
 
-// TestExactUnaryIndexEquivalence: the opt-in exact unary index replaces the
-// binary pass's Bloom probes with bitmap lookups, which can only remove
-// below-threshold candidates the threshold filter would discard anyway — so
-// frequent conditions, their counts, and the association rules are identical
-// to the Bloom-probed detector's across datasets, thresholds, and workers.
-func TestExactUnaryIndexEquivalence(t *testing.T) {
-	datasets := map[string]*rdf.Dataset{
-		"table1": fixtures.University(),
-		"random": randomDataset(500, 6),
-	}
-	for name, ds := range datasets {
-		for _, h := range []int{1, 2, 3} {
-			for _, w := range []int{1, 3} {
-				bloomed := detect(t, ds, h, w, Options{})
-				exact := detect(t, ds, h, w, Options{ExactUnaryIndex: true, ValueSpace: ds.Dict.Len()})
-				label := func(what string) string {
-					return name + " h=" + string(rune('0'+h)) + " w=" + string(rune('0'+w)) + ": " + what
-				}
-				for probe, pair := range map[string][2]map[cind.Condition]int{
-					"unary":  {counterMap(bloomed.Unary), counterMap(exact.Unary)},
-					"binary": {counterMap(bloomed.Binary), counterMap(exact.Binary)},
-				} {
-					got, want := pair[1], pair[0]
-					if len(got) != len(want) {
-						t.Errorf("%s: %d conditions, Bloom path has %d", label(probe), len(got), len(want))
-					}
-					for c, n := range want {
-						if got[c] != n {
-							t.Errorf("%s: freq(%s) = %d, Bloom path %d", label(probe), c.Format(ds.Dict), got[c], n)
-						}
-					}
-				}
-				gotARs := map[cind.AR]bool{}
-				for _, r := range exact.ARs {
-					gotARs[r] = true
-				}
-				if len(gotARs) != len(bloomed.ARs) {
-					t.Errorf("%s: %d ARs, Bloom path has %d", label("ARs"), len(gotARs), len(bloomed.ARs))
-				}
-				for _, r := range bloomed.ARs {
-					if !gotARs[r] {
-						t.Errorf("%s: missing AR %s", label("ARs"), r.Format(ds.Dict))
-					}
-				}
-			}
-		}
-	}
-	// ValueSpace 0 disables the index (nothing to size the bitmap by); the
-	// detector must fall back to Bloom probes rather than panic.
-	out := detect(t, fixtures.University(), 2, 2, Options{ExactUnaryIndex: true})
-	if out.Unary.Len() == 0 {
-		t.Error("ExactUnaryIndex without ValueSpace produced no output")
-	}
-}
-
 func TestARSetIndex(t *testing.T) {
 	ds := fixtures.University()
 	out := detect(t, ds, 2, 1, Options{})

@@ -31,7 +31,7 @@ type Span struct {
 	PerWorker        []int64 `json:"per_worker,omitempty"`
 
 	// FusedOps attributes per-operator input-record counts inside a fused
-	// narrow-operator chain (dataflow plan.go). Empty for unfused stages;
+	// narrow-operator chain (dataflow plan.go). Empty for single-op stages;
 	// fused stages carry composite names joining the chained ops with '+'.
 	// RecordsIn counts the chain's source records once, so the per-op counts
 	// here are attribution detail on top of — not part of — the
@@ -45,10 +45,10 @@ type Span struct {
 	// fused chain, which materializes only its final output) wrote; zero for
 	// wide operators and sources.
 	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
-	// Batches counts the column batches a fused chain's columnar execution
-	// (dataflow batch.go) delivered to its sink; BatchFill is the fraction of
-	// their lanes still selected (1.0 = no Filter cleared anything). Both zero
-	// on record-at-a-time execution.
+	// Batches counts the column batches a fused chain (dataflow batch.go)
+	// delivered to its sink; BatchFill is the fraction of their lanes still
+	// selected (1.0 = no Filter cleared anything). Both zero for stages that
+	// are not narrow-operator chains.
 	Batches   int64   `json:"batches,omitempty"`
 	BatchFill float64 `json:"batch_fill,omitempty"`
 	// CombinerIn/CombinerOut are the record counts before and after combiner

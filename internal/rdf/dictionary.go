@@ -38,6 +38,15 @@ func (d *Dictionary) Encode(s string) Value {
 	return id
 }
 
+// encodeBytes is Encode for a byte slice; it allocates a string only for a
+// term it has not seen before.
+func (d *Dictionary) encodeBytes(b []byte) Value {
+	if id, ok := d.byStr[string(b)]; ok {
+		return id
+	}
+	return d.Encode(string(b))
+}
+
 // Lookup returns the ID for s without interning it.
 func (d *Dictionary) Lookup(s string) (Value, bool) {
 	id, ok := d.byStr[s]

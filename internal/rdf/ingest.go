@@ -271,8 +271,9 @@ func mergeShards(results []shardResult) *Dataset {
 	return ds
 }
 
-// parseLineBytes is parseNTriplesLine over a byte slice, so shard scanning
-// can slice the input buffer instead of materializing line strings.
+// parseLineBytes splits one statement into its three terms. It works on a
+// byte slice so both the sequential reader and shard scanning can slice
+// their input buffers instead of materializing line strings.
 func parseLineBytes(line []byte) (s, p, o []byte, err error) {
 	rest := line
 	if s, rest, err = scanTermBytes(rest); err != nil {
@@ -291,8 +292,8 @@ func parseLineBytes(line []byte) (s, p, o []byte, err error) {
 	return s, p, o, nil
 }
 
-// scanTermBytes is scanTerm over a byte slice; the two must accept exactly
-// the same grammar (the ingest equivalence test cross-checks them).
+// scanTermBytes consumes one term (URI, blank node, or literal) from the
+// front of the input and returns it with the unconsumed remainder.
 func scanTermBytes(in []byte) (term, rest []byte, err error) {
 	for len(in) > 0 && (in[0] == ' ' || in[0] == '\t') {
 		in = in[1:]
@@ -314,7 +315,7 @@ func scanTermBytes(in []byte) (term, rest []byte, err error) {
 		}
 		return in[:end], in[end:], nil
 	case '"':
-		end := closingQuoteBytes(in)
+		end := closingQuote(in)
 		if end < 0 {
 			return nil, nil, fmt.Errorf("unterminated literal")
 		}
@@ -346,20 +347,6 @@ func scanTermBytes(in []byte) (term, rest []byte, err error) {
 func indexSpaceTab(in []byte) int {
 	for i := 0; i < len(in); i++ {
 		if in[i] == ' ' || in[i] == '\t' {
-			return i
-		}
-	}
-	return -1
-}
-
-// closingQuoteBytes finds the index of the unescaped closing quote of a
-// literal that starts at in[0] == '"'.
-func closingQuoteBytes(in []byte) int {
-	for i := 1; i < len(in); i++ {
-		switch in[i] {
-		case '\\':
-			i++ // skip the escaped character
-		case '"':
 			return i
 		}
 	}

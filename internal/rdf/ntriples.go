@@ -2,9 +2,9 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // This file implements a reader and writer for the N-Triples serialization
@@ -60,11 +60,11 @@ func readNTriples(r io.Reader, maxErrors int, lenient bool) (*Dataset, []*Syntax
 	var malformed []*SyntaxError
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		s, p, o, err := parseNTriplesLine(line)
+		s, p, o, err := parseLineBytes(line)
 		if err != nil {
 			serr := &SyntaxError{Line: lineNo, Err: err}
 			if !lenient {
@@ -78,7 +78,11 @@ func readNTriples(r io.Reader, maxErrors int, lenient bool) (*Dataset, []*Syntax
 			}
 			continue
 		}
-		ds.Add(s, p, o)
+		ds.Triples = append(ds.Triples, Triple{
+			S: ds.Dict.encodeBytes(s),
+			P: ds.Dict.encodeBytes(p),
+			O: ds.Dict.encodeBytes(o),
+		})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, malformed, fmt.Errorf("ntriples: %w", err)
@@ -86,76 +90,9 @@ func readNTriples(r io.Reader, maxErrors int, lenient bool) (*Dataset, []*Syntax
 	return ds, malformed, nil
 }
 
-// parseNTriplesLine splits one statement into its three terms.
-func parseNTriplesLine(line string) (s, p, o string, err error) {
-	rest := line
-	if s, rest, err = scanTerm(rest); err != nil {
-		return "", "", "", fmt.Errorf("subject: %w", err)
-	}
-	if p, rest, err = scanTerm(rest); err != nil {
-		return "", "", "", fmt.Errorf("predicate: %w", err)
-	}
-	if o, rest, err = scanTerm(rest); err != nil {
-		return "", "", "", fmt.Errorf("object: %w", err)
-	}
-	rest = strings.TrimSpace(rest)
-	if rest != "." {
-		return "", "", "", fmt.Errorf("expected terminating '.', got %q", rest)
-	}
-	return s, p, o, nil
-}
-
-// scanTerm consumes one term (URI, blank node, or literal) from the front of
-// the input and returns it with the unconsumed remainder.
-func scanTerm(in string) (term, rest string, err error) {
-	in = strings.TrimLeft(in, " \t")
-	if in == "" {
-		return "", "", fmt.Errorf("unexpected end of line")
-	}
-	switch in[0] {
-	case '<':
-		end := strings.IndexByte(in, '>')
-		if end < 0 {
-			return "", "", fmt.Errorf("unterminated URI")
-		}
-		return in[:end+1], in[end+1:], nil
-	case '_':
-		end := strings.IndexAny(in, " \t")
-		if end < 0 {
-			end = len(in)
-		}
-		return in[:end], in[end:], nil
-	case '"':
-		end := closingQuote(in)
-		if end < 0 {
-			return "", "", fmt.Errorf("unterminated literal")
-		}
-		// Absorb an optional datatype (^^<...>) or language tag (@xx).
-		rest = in[end+1:]
-		if strings.HasPrefix(rest, "^^<") {
-			gt := strings.IndexByte(rest, '>')
-			if gt < 0 {
-				return "", "", fmt.Errorf("unterminated datatype URI")
-			}
-			end += gt + 1
-			rest = rest[gt+1:]
-		} else if strings.HasPrefix(rest, "@") {
-			n := 1
-			for n < len(rest) && rest[n] != ' ' && rest[n] != '\t' {
-				n++
-			}
-			end += n
-			rest = rest[n:]
-		}
-		return in[:end+1], rest, nil
-	default:
-		return "", "", fmt.Errorf("unexpected character %q", in[0])
-	}
-}
-
 // closingQuote finds the index of the unescaped closing quote of a literal
 // that starts at in[0] == '"'.
-func closingQuote(in string) int {
+func closingQuote[S ~string | ~[]byte](in S) int {
 	for i := 1; i < len(in); i++ {
 		switch in[i] {
 		case '\\':

@@ -7,12 +7,14 @@ import (
 )
 
 // FuzzReaderParity pins the document-level contract between the sequential
-// reader and the parallel byte-slice kernel: over any input, ReadNTriples and
-// ParseNTriples must agree *exactly* — same dataset (triples, dictionary IDs,
-// decoded terms), same malformed-line reports, and same error text — in
-// strict and lenient mode, at every shard count, including the over-cap
-// rejection path. The only documented divergence is the sequential scanner's
-// 16 MiB line cap, which fuzz inputs cannot reach.
+// reader and the parallel one: both parse lines with parseLineBytes, so what
+// differs is the framing — bufio.Scanner line splitting against shard
+// splitting. Over any input, ReadNTriples and ParseNTriples must agree
+// *exactly* — same dataset (triples, dictionary IDs, decoded terms), same
+// malformed-line reports, and same error text — in strict and lenient mode,
+// at every shard count, including the over-cap rejection path. The only
+// documented divergence is the sequential scanner's 16 MiB line cap, which
+// fuzz inputs cannot reach.
 func FuzzReaderParity(f *testing.F) {
 	seeds := []string{
 		"",
